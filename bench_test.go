@@ -19,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/coordinator"
 	"repro/internal/core"
 	"repro/internal/disambig"
 	"repro/internal/extract"
@@ -432,7 +431,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // E9b — concurrent drain: the coordinator's worker-pool + batching
-// pipeline versus the sequential drain, on a WAL-backed queue (the
+// pipeline at several widths against one worker, on a WAL-backed queue (the
 // durable production configuration whose per-ack fsync the batching stage
 // group-commits). The msgs/sec metric is the throughput headline; on a
 // single-core machine the speedup comes from batching and I/O overlap,
@@ -447,17 +446,14 @@ func BenchmarkDrainParallel(b *testing.B) {
 	msgs := gen.Generate(256)
 	const perIter = 64
 
-	configs := []struct {
-		name       string
-		workers    int
-		concurrent bool
+	for _, cfg := range []struct {
+		name    string
+		workers int
 	}{
-		{"sequential", 1, false},
-		{"workers=1", 1, true},
-		{"workers=4", 4, true},
-		{"workers=8", 8, true},
-	}
-	for _, cfg := range configs {
+		{"workers=1", 1},
+		{"workers=4", 4},
+		{"workers=8", 8},
+	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			processed := 0
 			for i := 0; i < b.N; i++ {
@@ -477,13 +473,7 @@ func BenchmarkDrainParallel(b *testing.B) {
 					}
 				}
 				b.StartTimer()
-				var outs []*coordinator.Outcome
-				var errs []error
-				if cfg.concurrent {
-					outs, errs = sys.ProcessConcurrent(context.Background(), 0)
-				} else {
-					outs, errs = sys.MC.Drain(0)
-				}
+				outs, errs := sys.Process(context.Background(), 0)
 				b.StopTimer()
 				if len(errs) != 0 {
 					b.Fatalf("drain errors: %v", errs[0])
@@ -541,7 +531,7 @@ func BenchmarkDrainMetricsOverhead(b *testing.B) {
 					}
 				}
 				b.StartTimer()
-				_, errs := sys.ProcessConcurrent(context.Background(), 0)
+				_, errs := sys.Process(context.Background(), 0)
 				b.StopTimer()
 				if len(errs) != 0 {
 					b.Fatalf("drain errors: %v", errs[0])
@@ -597,7 +587,7 @@ func BenchmarkDrainTracingOverhead(b *testing.B) {
 					}
 				}
 				b.StartTimer()
-				_, errs := sys.ProcessConcurrent(context.Background(), 0)
+				_, errs := sys.Process(context.Background(), 0)
 				b.StopTimer()
 				if len(errs) != 0 {
 					b.Fatalf("drain errors: %v", errs[0])
@@ -642,7 +632,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if _, errs := sys.ProcessConcurrent(context.Background(), 0); len(errs) != 0 {
+			if _, errs := sys.Process(context.Background(), 0); len(errs) != 0 {
 				b.Fatalf("drain errors: %v", errs[0])
 			}
 			var bytes int64
@@ -696,7 +686,7 @@ func BenchmarkDrainWithCheckpointing(b *testing.B) {
 					}
 				}
 				b.StartTimer()
-				outs, errs := sys.ProcessConcurrent(context.Background(), 0)
+				outs, errs := sys.Process(context.Background(), 0)
 				if checkpointing {
 					if _, err := sys.Checkpoint(context.Background()); err != nil {
 						b.Fatal(err)
@@ -745,7 +735,7 @@ func benchAskSystem(b *testing.B, cache int) *core.System {
 			b.Fatal(err)
 		}
 	}
-	if _, errs := sys.ProcessConcurrent(context.Background(), 0); len(errs) != 0 {
+	if _, errs := sys.Process(context.Background(), 0); len(errs) != 0 {
 		b.Fatalf("drain errors: %v", errs[0])
 	}
 	// Warm pass: fills the cache when one is configured; for the uncached
@@ -1008,7 +998,7 @@ func BenchmarkDrainSharded(b *testing.B) {
 					}
 				}
 				b.StartTimer()
-				outs, errs := sys.ProcessConcurrent(context.Background(), 0)
+				outs, errs := sys.Process(context.Background(), 0)
 				b.StopTimer()
 				if len(errs) != 0 {
 					b.Fatalf("drain errors: %v", errs[0])
@@ -1048,7 +1038,7 @@ func benchFeedbackSystem(b *testing.B, shards, n int) (*core.System, []int64) {
 			b.Fatal(err)
 		}
 	}
-	if _, errs := sys.ProcessConcurrent(context.Background(), 0); len(errs) != 0 {
+	if _, errs := sys.Process(context.Background(), 0); len(errs) != 0 {
 		b.Fatalf("drain errors: %v", errs[0])
 	}
 	var ids []int64
@@ -1112,7 +1102,7 @@ func BenchmarkMixedAskFeedbackDrain(b *testing.B) {
 		if _, err := sys.Submit(context.Background(), m.Text, m.Source); err != nil {
 			b.Fatal(err)
 		}
-		if _, errs := sys.ProcessConcurrent(context.Background(), 0); len(errs) != 0 {
+		if _, errs := sys.Process(context.Background(), 0); len(errs) != 0 {
 			b.Fatalf("drain errors: %v", errs[0])
 		}
 		if _, err := sys.Ask(context.Background(), questions[i%len(questions)], "asker"); err != nil {

@@ -40,7 +40,7 @@ func main() {
 		step     = flag.Int("step", 100, "measurement interval (e7)")
 		liarRate = flag.Float64("liars", 0.3, "fraction of reports from unreliable sources (e7)")
 		seed     = flag.Int64("seed", 2011, "deterministic stream seed: every mode and configuration replays the identical stream for this value")
-		workers  = flag.String("workers", "0,1,4,8", "comma-separated worker counts; 0 = sequential drain (parallel)")
+		workers  = flag.String("workers", "1,4,8", "comma-separated worker counts, each at least 1 (parallel)")
 		shards   = flag.String("shards", "1", "comma-separated shard counts for the probabilistic store (parallel)")
 		noise    = flag.Float64("noise", 0.4, "tweet-stream noise level (parallel)")
 		reqRatio = flag.Float64("requests", 0.2, "fraction of request messages (parallel)")

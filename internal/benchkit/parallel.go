@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/coordinator"
 	"repro/internal/core"
 	"repro/internal/gazetteer"
 	"repro/internal/tweetgen"
@@ -34,7 +33,7 @@ type ParallelConfig struct {
 	// configuration whose per-message fsync the integration lanes
 	// amortize via group-committed acknowledgements.
 	UseWAL bool
-	// Workers is the comma-separated worker counts; 0 = sequential drain.
+	// Workers is the comma-separated worker counts (each at least 1).
 	Workers string
 	// Shards is the comma-separated shard counts for the probabilistic
 	// store.
@@ -45,11 +44,11 @@ type ParallelConfig struct {
 // MQ -> MC -> IE -> DI pipeline once per drain configuration and reports
 // throughput to w. The stream is generated exactly once from the seed and
 // every (workers × shards) configuration gets a fresh system fed that
-// same slice (same gazetteer too), so sequential, concurrent and sharded
-// runs compare identical inputs; submission is not timed — the
+// same slice (same gazetteer too), so every worker and shard count
+// compares identical inputs; submission is not timed — the
 // measurement is the drain, which is where acknowledgement durability,
 // integration batching and shard-lane parallelism live. Cancelling ctx
-// stops the concurrent drains early.
+// stops the drains early.
 func Parallel(ctx context.Context, cfg ParallelConfig, w io.Writer) error {
 	gaz, err := gazetteer.Synthesize(gazetteer.Config{Names: cfg.GazetteerNames, Seed: 2011})
 	if err != nil {
@@ -75,7 +74,7 @@ func Parallel(ctx context.Context, cfg ParallelConfig, w io.Writer) error {
 		}
 		return out, nil
 	}
-	workerCounts, err := parseCounts(cfg.Workers, "-workers", 0)
+	workerCounts, err := parseCounts(cfg.Workers, "-workers", 1)
 	if err != nil {
 		return err
 	}
@@ -98,9 +97,6 @@ func Parallel(ctx context.Context, cfg ParallelConfig, w io.Writer) error {
 	for _, wk := range workerCounts {
 		for _, nshards := range shardCounts {
 			sysCfg := core.Config{Gazetteer: gaz, Workers: wk, Shards: nshards, IntegrateBatch: 16}
-			if wk == 0 {
-				sysCfg.Workers = 1 // sequential drain below; width is unused
-			}
 			if cfg.UseWAL {
 				sysCfg.QueueWAL = filepath.Join(tmp, fmt.Sprintf("queue-%d.wal", run))
 			}
@@ -114,21 +110,12 @@ func Parallel(ctx context.Context, cfg ParallelConfig, w io.Writer) error {
 					return err
 				}
 			}
-			label := "sequential"
-			if wk != 0 {
-				label = fmt.Sprintf("workers=%d", wk)
-			}
+			label := fmt.Sprintf("workers=%d", wk)
 			if nshards > 1 {
 				label += fmt.Sprintf("/shards=%d", nshards)
 			}
 			start := time.Now()
-			var outs []*coordinator.Outcome
-			var errs []error
-			if wk == 0 {
-				outs, errs = sys.MC.Drain(0)
-			} else {
-				outs, errs = sys.ProcessConcurrent(ctx, 0)
-			}
+			outs, errs := sys.Process(ctx, 0)
 			elapsed := time.Since(start).Seconds()
 			balance := sys.Store.Balance()
 			qstats := sys.Queue.Stats()
@@ -151,7 +138,7 @@ func Parallel(ctx context.Context, cfg ParallelConfig, w io.Writer) error {
 			}
 			rate := float64(n) / elapsed
 			// Speedup is relative to the first configuration in the list
-			// (conventionally 0 = sequential, but any list works).
+			// (conventionally workers=1, but any list works).
 			if run == 0 {
 				baseline = rate
 			}

@@ -90,7 +90,7 @@ func ReadHeavy(ctx context.Context, cfg ReadHeavyConfig, w io.Writer) error {
 				return nil
 			}
 			pending = 0
-			if _, errs := sys.ProcessConcurrent(ctx, 0); len(errs) != 0 {
+			if _, errs := sys.Process(ctx, 0); len(errs) != 0 {
 				return fmt.Errorf("drain: %w", errs[0])
 			}
 			return nil

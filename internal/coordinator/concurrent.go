@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/extract"
@@ -27,10 +28,8 @@ import (
 // group to its lane (Integrator.Route), so every store still sees all
 // its writes from a single goroutine — the probabilistic integration
 // path needs no cross-worker coordination — while lanes for different
-// shards commit batches and group-ack in parallel. With a one-lane
-// Integrator (SingleLane) this is exactly the single batching-integrator
-// pipeline; with shard.Integrator the pipeline's tail scales out with
-// the store.
+// shards commit batches and group-ack in parallel. With one worker every
+// lane integrates its messages in queue order.
 //
 // Results stream: emit is called once per finished message — (outcome,
 // nil) on success, (nil, err) on failure — as the pipeline completes it,
@@ -38,7 +37,9 @@ import (
 // Calls to emit are serialised (never concurrent) but arrive in
 // completion order, not queue order. Failed messages are negatively
 // acknowledged for redelivery; after redelivery exhaustion they
-// dead-letter, matching Drain's semantics.
+// dead-letter. The drain waits only for the messages it leased itself:
+// a lease held elsewhere (a concurrent ProcessOne, another drain) is
+// left to its holder.
 func (c *Coordinator) DrainEach(ctx context.Context, limit int, emit func(*Outcome, error)) {
 	sink := &drainSink{emit: emit}
 	jobs := make(chan mq.Message)
@@ -49,11 +50,14 @@ func (c *Coordinator) DrainEach(ctx context.Context, limit int, emit func(*Outco
 	for i := range lanes {
 		lanes[i] = make(chan integrationJob, c.workers+c.batchSize)
 	}
-	// poke wakes the dispatcher after any ack/nack so it can re-check the
-	// queue; capacity 1 makes the send non-blocking while never losing the
-	// "state changed" edge.
+	// leased counts this drain's messages not yet acked or nacked. poke
+	// wakes the dispatcher after any of them settles so it can re-check
+	// the queue; capacity 1 makes the send non-blocking while never
+	// losing the "state changed" edge.
+	var leased atomic.Int64
 	poke := make(chan struct{}, 1)
-	notify := func() {
+	settled := func(n int) {
+		leased.Add(-int64(n))
 		select {
 		case poke <- struct{}{}:
 		default:
@@ -66,7 +70,11 @@ func (c *Coordinator) DrainEach(ctx context.Context, limit int, emit func(*Outco
 		go func() {
 			defer workersWG.Done()
 			for m := range jobs {
-				c.workOne(ctx, m, sink, lanes, notify)
+				if job, lane, ok := c.frontHalf(ctx, m, sink); ok {
+					lanes[lane] <- job
+				} else {
+					settled(1)
+				}
 			}
 		}()
 	}
@@ -76,7 +84,7 @@ func (c *Coordinator) DrainEach(ctx context.Context, limit int, emit func(*Outco
 		lanesWG.Add(1)
 		go func(lane int, integ <-chan integrationJob) {
 			defer lanesWG.Done()
-			c.runIntegrator(ctx, lane, integ, sink, notify)
+			c.runIntegrator(ctx, lane, integ, sink, settled)
 		}(i, lanes[i])
 	}
 
@@ -84,30 +92,32 @@ func (c *Coordinator) DrainEach(ctx context.Context, limit int, emit func(*Outco
 	for (limit <= 0 || dispatched < limit) && ctx.Err() == nil {
 		m, ok := c.queue.Dequeue()
 		if !ok {
-			// Empty queue: done only once nothing is in flight — a leased
-			// message may still be nacked back for redelivery.
-			if c.queue.InFlight() > 0 {
+			// Empty queue: done only once none of this drain's messages
+			// is in flight — a worker or lane may still nack one back for
+			// redelivery.
+			if leased.Load() > 0 {
 				select {
 				case <-poke:
 				case <-ctx.Done():
 				}
 				continue
 			}
-			// A nack can land between the empty Dequeue and the InFlight
-			// check, moving a message back to pending; with nothing leased
-			// any such message is visible to one more Dequeue, so only an
-			// empty retry proves the drain is complete.
+			// A nack can land between the empty Dequeue and the leased
+			// check, moving a message back to pending; with none of ours
+			// leased any such message is visible to one more Dequeue, so
+			// only an empty retry proves the drain is complete.
 			m, ok = c.queue.Dequeue()
 			if !ok {
 				break
 			}
 		}
-		c.signal(Signal{MessageID: m.ID, From: "MC", To: "IE", Step: StepClassify})
 		dispatched++
+		leased.Add(1)
 		select {
 		case jobs <- m:
 		case <-ctx.Done():
 			_ = c.queue.Nack(m.ID)
+			leased.Add(-1)
 		}
 	}
 	close(jobs)
@@ -118,9 +128,9 @@ func (c *Coordinator) DrainEach(ctx context.Context, limit int, emit func(*Outco
 	lanesWG.Wait()
 }
 
-// DrainConcurrent is DrainEach collecting the stream into slices —
-// outcomes in completion order — for callers whose drains fit in memory.
-func (c *Coordinator) DrainConcurrent(ctx context.Context, limit int) (outs []*Outcome, errs []error) {
+// Drain is DrainEach collecting the stream into slices — outcomes in
+// completion order — for callers whose drains fit in memory.
+func (c *Coordinator) Drain(ctx context.Context, limit int) (outs []*Outcome, errs []error) {
 	c.DrainEach(ctx, limit, func(out *Outcome, err error) {
 		if err != nil {
 			errs = append(errs, err)
@@ -159,13 +169,15 @@ type integrationJob struct {
 	tpls []extract.Template
 }
 
-// workOne runs the parallel front half of one message's workflow, then
-// routes the message to its integration lane, which owns integration and
-// acknowledgement — every successful message is acked by group commit.
-// Messages with no templates (requests) only need an acknowledgement;
-// they spread across lanes by message ID so no single lane becomes the
-// ack bottleneck.
-func (c *Coordinator) workOne(ctx context.Context, m mq.Message, sink *drainSink, lanes []chan integrationJob, notify func()) {
+// frontHalf runs the extraction/answer half of one leased message's
+// workflow under its pipeline_message span, then picks the integration
+// lane that will integrate and acknowledge it. Messages with no
+// templates (requests) only need an acknowledgement; they spread across
+// lanes by message ID so no single lane becomes the ack bottleneck. A
+// failed message is nacked for redelivery and reported to sink, and ok
+// is false.
+func (c *Coordinator) frontHalf(ctx context.Context, m mq.Message, sink *drainSink) (job integrationJob, lane int, ok bool) {
+	c.signal(Signal{MessageID: m.ID, From: "MC", To: "IE", Step: StepClassify})
 	if m.Trace != "" {
 		ctx = obs.WithTrace(ctx, m.Trace)
 	}
@@ -181,23 +193,21 @@ func (c *Coordinator) workOne(ctx context.Context, m mq.Message, sink *drainSink
 		_ = c.queue.Nack(m.ID)
 		messagesErr.Inc()
 		sink.addErr(fmt.Errorf("coordinator: message %d: %w", m.ID, err))
-		notify()
-		return
+		return integrationJob{}, 0, false
 	}
-	lane := 0
 	if len(tpls) > 0 {
 		lane = c.di.Route(tpls)
-	} else if len(lanes) > 1 && m.ID > 0 {
-		lane = int(m.ID % int64(len(lanes)))
+	} else if n := c.di.Lanes(); n > 1 && m.ID > 0 {
+		lane = int(m.ID % int64(n))
 	}
-	lanes[lane] <- integrationJob{msg: m, out: out, tpls: tpls}
+	return integrationJob{msg: m, out: out, tpls: tpls}, lane, true
 }
 
 // runIntegrator is one lane's single-goroutine batching stage: it
 // greedily collects the lane's pending jobs up to the batch cap,
 // integrates each batch under one acquisition of the lane's store lock,
 // and acknowledges the batch's messages with one group-committed ack.
-func (c *Coordinator) runIntegrator(ctx context.Context, lane int, integ <-chan integrationJob, sink *drainSink, notify func()) {
+func (c *Coordinator) runIntegrator(ctx context.Context, lane int, integ <-chan integrationJob, sink *drainSink, settled func(n int)) {
 	for {
 		job, ok := <-integ
 		if !ok {
@@ -217,7 +227,7 @@ func (c *Coordinator) runIntegrator(ctx context.Context, lane int, integ <-chan 
 			}
 		}
 		c.flushBatch(ctx, lane, batch, sink)
-		notify()
+		settled(len(batch))
 	}
 }
 

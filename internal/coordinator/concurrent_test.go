@@ -12,9 +12,9 @@ import (
 	"repro/internal/mq"
 )
 
-// DrainConcurrent must process every queued message exactly once: same
-// outcome count as the sequential path, queue fully drained, no duplicate
-// message IDs among the outcomes. Run with -race.
+// Drain must process every queued message exactly once: one outcome per
+// message, queue fully drained, no duplicate message IDs among the
+// outcomes. Run with -race.
 func TestDrainConcurrentExactlyOnce(t *testing.T) {
 	c, db := newCoordinator(t)
 	c.SetWorkers(4)
@@ -31,7 +31,7 @@ func TestDrainConcurrentExactlyOnce(t *testing.T) {
 		}
 	}
 
-	outs, errs := c.DrainConcurrent(context.Background(), 0)
+	outs, errs := c.Drain(context.Background(), 0)
 	if len(errs) != 0 {
 		t.Fatalf("errors: %v", errs)
 	}
@@ -62,7 +62,7 @@ func TestDrainConcurrentLimit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	outs, errs := c.DrainConcurrent(context.Background(), 4)
+	outs, errs := c.Drain(context.Background(), 4)
 	if len(outs)+len(errs) != 4 {
 		t.Fatalf("limit 4: %d outs, %d errs", len(outs), len(errs))
 	}
@@ -89,7 +89,7 @@ func TestDrainConcurrentErrorsDeadLetter(t *testing.T) {
 	if _, err := c.Submit(context.Background(), "can anyone recommend a good hotel in Berlin?", "y"); err != nil {
 		t.Fatal(err)
 	}
-	outs, errs := c.DrainConcurrent(context.Background(), 0)
+	outs, errs := c.Drain(context.Background(), 0)
 	if len(outs) != 1 {
 		t.Fatalf("outs = %d, want 1 (the request)", len(outs))
 	}
@@ -104,7 +104,7 @@ func TestDrainConcurrentErrorsDeadLetter(t *testing.T) {
 	}
 }
 
-// Submit and DrainConcurrent hammered from many goroutines at once: the
+// Submit and Drain hammered from many goroutines at once: the
 // drain must absorb concurrent producers without losing or duplicating
 // messages. Run with -race.
 func TestSubmitDuringDrainConcurrent(t *testing.T) {
@@ -147,13 +147,13 @@ func TestSubmitDuringDrainConcurrent(t *testing.T) {
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	for {
-		o, e := c.DrainConcurrent(context.Background(), 0)
+		o, e := c.Drain(context.Background(), 0)
 		outs = append(outs, o...)
 		errs = append(errs, e...)
 		select {
 		case <-done:
 			if c.Queue().Len() == 0 {
-				o, e = c.DrainConcurrent(context.Background(), 0)
+				o, e = c.Drain(context.Background(), 0)
 				outs = append(outs, o...)
 				errs = append(errs, e...)
 				goto finished
@@ -178,7 +178,7 @@ finished:
 	}
 }
 
-// DrainConcurrent honours context cancellation: it stops dispatching and
+// Drain honours context cancellation: it stops dispatching and
 // returns without leaking leases forever (nacked messages return to the
 // queue).
 func TestDrainConcurrentCancel(t *testing.T) {
@@ -191,7 +191,7 @@ func TestDrainConcurrentCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	outs, errs := c.DrainConcurrent(ctx, 0)
+	outs, errs := c.Drain(ctx, 0)
 	if len(outs)+len(errs)+c.Queue().Len()+c.Queue().InFlight() < 10 {
 		t.Fatalf("messages lost after cancel: outs=%d errs=%d pending=%d inflight=%d",
 			len(outs), len(errs), c.Queue().Len(), c.Queue().InFlight())
@@ -222,13 +222,13 @@ func TestDrainConcurrentAckFailureTerminates(t *testing.T) {
 	var outs []*Outcome
 	var errs []error
 	go func() {
-		outs, errs = c.DrainConcurrent(context.Background(), 0)
+		outs, errs = c.Drain(context.Background(), 0)
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("DrainConcurrent wedged after ack failure")
+		t.Fatal("Drain wedged after ack failure")
 	}
 	if len(errs) == 0 {
 		t.Fatal("ack failure not reported")
@@ -241,6 +241,39 @@ func TestDrainConcurrentAckFailureTerminates(t *testing.T) {
 	}
 	if q.Len() != 0 || q.InFlight() != 0 {
 		t.Fatalf("queue not settled: pending=%d inflight=%d", q.Len(), q.InFlight())
+	}
+}
+
+// A lease the drain did not take must not hold it open: the drain
+// processes every other message and returns while the foreign lease is
+// still out (regression: the dispatcher waited on the queue-wide
+// in-flight count for a wake-up only its own goroutines send, so it
+// blocked until ctx expired).
+func TestDrainIgnoresForeignLease(t *testing.T) {
+	c, _ := newCoordinator(t)
+	for i := 0; i < 3; i++ {
+		if _, err := c.Submit(context.Background(), "stay at the Axel Hotel in Berlin", "u"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held, ok := c.Queue().Dequeue()
+	if !ok {
+		t.Fatal("nothing to lease")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	outs, errs := c.Drain(ctx, 0)
+	if ctx.Err() != nil {
+		t.Fatal("drain waited on a lease it does not own until ctx expired")
+	}
+	if len(outs) != 2 || len(errs) != 0 {
+		t.Fatalf("drain: %d outs, %v", len(outs), errs)
+	}
+	if c.Queue().InFlight() != 1 {
+		t.Fatalf("in flight = %d, want the held lease only", c.Queue().InFlight())
+	}
+	if err := c.Queue().Ack(held.ID); err != nil {
+		t.Fatalf("held lease: %v", err)
 	}
 }
 

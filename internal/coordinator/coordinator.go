@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
@@ -46,7 +45,6 @@ const (
 	spanPipelineMessage = "pipeline_message"
 	spanExtract         = "extract"
 	spanAnswer          = "answer"
-	spanIntegrate       = "integrate"
 	spanIntegrateBatch  = "integrate_batch"
 )
 
@@ -111,13 +109,14 @@ func (e *NotAQuestionError) Error() string {
 }
 
 // Integrator is the integration sink of the coordinator: a set of
-// independent lanes, each owning one store. The single-store system has
-// one lane (SingleLane); a sharded system has one lane per shard
-// (shard.Integrator). The coordinator serialises IntegrateGroups calls
-// per lane — in the concurrent pipeline by running exactly one goroutine
-// per lane — so implementations never see concurrent writes to the same
-// lane, preserving the single-writer probabilistic merge path while
-// distinct lanes commit in parallel.
+// independent lanes, each owning one store (shard.Integrator has one
+// lane per shard; one shard means an unsharded store). A drain runs
+// exactly one goroutine per lane, so its IntegrateGroups calls never
+// overlap on a lane, preserving the single-writer probabilistic merge
+// path while distinct lanes commit in parallel. ProcessOne integrates
+// on its caller's goroutine instead, so implementations must still
+// tolerate a concurrent call on the same lane (the store's batch lock
+// serialises the writes).
 type Integrator interface {
 	// Lanes is the number of independent integration lanes.
 	Lanes() int
@@ -129,20 +128,6 @@ type Integrator interface {
 	// per message, order preserved within a group) as one amortized batch
 	// on the given lane.
 	IntegrateGroups(lane int, groups [][]extract.Template) [][]integrate.BatchResult
-}
-
-// singleLane adapts the unsharded integration service to the Integrator
-// interface: one lane, everything routed to it.
-type singleLane struct{ di *integrate.Service }
-
-// SingleLane wraps a single-store integration service as a one-lane
-// Integrator — the unsharded configuration.
-func SingleLane(di *integrate.Service) Integrator { return singleLane{di: di} }
-
-func (s singleLane) Lanes() int                   { return 1 }
-func (s singleLane) Route([]extract.Template) int { return 0 }
-func (s singleLane) IntegrateGroups(_ int, groups [][]extract.Template) [][]integrate.BatchResult {
-	return s.di.IntegrateGroups(groups)
 }
 
 // Coordinator wires the queue to the services.
@@ -159,7 +144,7 @@ type Coordinator struct {
 	// maxSignals bounds the in-memory signal log.
 	maxSignals int
 
-	// workers is the concurrency of DrainConcurrent (default GOMAXPROCS).
+	// workers is the concurrency of DrainEach (default GOMAXPROCS).
 	workers int
 	// batchSize caps how many integration jobs the batching stage folds
 	// into one amortized database batch (default 16).
@@ -173,9 +158,8 @@ type Coordinator struct {
 	slowThreshold time.Duration
 }
 
-// New wires a coordinator around an Integrator — SingleLane for the
-// single-store system, shard.NewIntegrator for a sharded one. A nil
-// rules uses DefaultRules.
+// New wires a coordinator around an Integrator (shard.NewIntegrator in
+// the assembled system). A nil rules uses DefaultRules.
 func New(queue *mq.Queue, ie *extract.Service, di Integrator, ans *qa.Service, rules Rules) (*Coordinator, error) {
 	if queue == nil || ie == nil || di == nil || ans == nil {
 		return nil, fmt.Errorf("coordinator: nil dependency")
@@ -219,7 +203,7 @@ func (c *Coordinator) SetLogger(l *slog.Logger) {
 // Not safe to call while a drain is running.
 func (c *Coordinator) SetSlowThreshold(d time.Duration) { c.slowThreshold = d }
 
-// SetWorkers sets the DrainConcurrent worker-pool size; n <= 0 restores
+// SetWorkers sets the DrainEach worker-pool size; n <= 0 restores
 // the default (GOMAXPROCS). Not safe to call while a drain is running.
 func (c *Coordinator) SetWorkers(n int) {
 	if n <= 0 {
@@ -252,43 +236,29 @@ func (c *Coordinator) Submit(ctx context.Context, body, source string) (int64, e
 	return id, nil
 }
 
-// ProcessOne handles the next queued message through its workflow. ok is
-// false when the queue is empty. Failed messages are negatively
-// acknowledged for redelivery; after the queue's attempt limit they land
-// in its dead-letter list.
-func (c *Coordinator) ProcessOne() (*Outcome, bool, error) {
+// ProcessOne leases the next queued message and runs the pipeline's
+// stages on the caller's goroutine: the front half, then its lane's
+// integration batch holding just this message. It returns once the
+// message is integrated and acknowledged, so a request it answers sees
+// every message processed before it. ok is false when the queue is
+// empty. A failed message is negatively acknowledged for redelivery;
+// after the queue's attempt limit it lands in its dead-letter list.
+func (c *Coordinator) ProcessOne(ctx context.Context) (out *Outcome, ok bool, err error) {
 	m, ok := c.queue.Dequeue()
 	if !ok {
 		return nil, false, nil
 	}
-	c.signal(Signal{MessageID: m.ID, From: "MC", To: "IE", Step: StepClassify})
-	//lint:ignore ctxflow ProcessOne predates ctx plumbing; the span root is per-message, not cancellable work
-	ctx := context.Background()
-	if m.Trace != "" {
-		ctx = obs.WithTrace(ctx, m.Trace)
+	sink := &drainSink{emit: func(o *Outcome, e error) { out, err = o, e }}
+	if job, lane, ok := c.frontHalf(ctx, m, sink); ok {
+		c.flushBatch(ctx, lane, []integrationJob{job}, sink)
 	}
-	ctx, sp := obs.StartSpan(ctx, spanPipelineMessage)
-	sp.SetAttr("msg_id", strconv.FormatInt(m.ID, 10))
-	out, err := c.process(ctx, m)
-	sp.SetError(err)
-	sp.End()
-	if err != nil {
-		_ = c.queue.Nack(m.ID)
-		messagesErr.Inc()
-		return nil, true, fmt.Errorf("coordinator: message %d: %w", m.ID, err)
-	}
-	if err := c.queue.Ack(m.ID); err != nil {
-		return nil, true, err
-	}
-	c.finish(m, out)
-	return out, true, nil
+	return out, true, err
 }
 
 // finish records a message's pipeline exit: the enqueue→acknowledged
 // transit histogram, the ok counter, a debug outcome line, and the warn
-// slow line when transit exceeded the threshold. Called after the
-// acknowledgement succeeds, on both the sequential and concurrent
-// paths.
+// slow line when transit exceeded the threshold. flushBatch calls it
+// once the group commit has acknowledged the message.
 func (c *Coordinator) finish(m mq.Message, out *Outcome) {
 	transit := c.clock().Sub(m.Received)
 	mTransitSeconds.Observe(transit.Seconds())
@@ -346,19 +316,6 @@ func (c *Coordinator) AskDirect(ctx context.Context, body, source string) (*qa.A
 		c.log.Debug("ask answered", "trace", trace, "results", len(ans.Results))
 	}
 	return &ans, nil
-}
-
-func (c *Coordinator) process(ctx context.Context, m mq.Message) (*Outcome, error) {
-	out, tpls, err := c.prepare(ctx, m)
-	if err != nil {
-		return nil, err
-	}
-	if len(tpls) > 0 {
-		if err := c.integrateInto(ctx, out, tpls); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // prepare runs the extraction/classification stages of a message's
@@ -427,22 +384,6 @@ func (c *Coordinator) prepare(ctx context.Context, m mq.Message) (*Outcome, []ex
 	return out, pending, nil
 }
 
-// integrateInto applies a message's templates in order as one amortized
-// database batch on their routed lane, stopping at the first integration
-// error (templates after a failure are not applied), and folds the
-// actions into its outcome.
-func (c *Coordinator) integrateInto(ctx context.Context, out *Outcome, tpls []extract.Template) error {
-	lane := c.di.Route(tpls)
-	_, sp := obs.StartSpan(ctx, spanIntegrate)
-	sp.SetInt("lane", lane)
-	sp.SetInt("templates", len(tpls))
-	defer sp.End()
-	defer stageIntegrate.Since(time.Now())
-	err := foldGroup(out, c.di.IntegrateGroups(lane, [][]extract.Template{tpls})[0])
-	sp.SetError(err)
-	return err
-}
-
 // foldGroup counts one message's integration actions into its outcome,
 // returning the group's error if it stopped early.
 func foldGroup(out *Outcome, results []integrate.BatchResult) error {
@@ -458,25 +399,6 @@ func foldGroup(out *Outcome, results []integrate.BatchResult) error {
 		}
 	}
 	return nil
-}
-
-// Drain processes queued messages until the queue is empty or limit
-// messages have been handled (limit <= 0 means no limit). It returns the
-// outcomes; messages that errored are skipped after redelivery exhaustion
-// and reported in errs.
-func (c *Coordinator) Drain(limit int) (outs []*Outcome, errs []error) {
-	for limit <= 0 || len(outs)+len(errs) < limit {
-		out, ok, err := c.ProcessOne()
-		if !ok {
-			break
-		}
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		outs = append(outs, out)
-	}
-	return outs, errs
 }
 
 func (c *Coordinator) signal(s Signal) {

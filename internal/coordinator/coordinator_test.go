@@ -9,11 +9,11 @@ import (
 	"repro/internal/extract"
 	"repro/internal/gazetteer"
 	"repro/internal/geo"
-	"repro/internal/integrate"
 	"repro/internal/kb"
 	"repro/internal/mq"
 	"repro/internal/ontology"
 	"repro/internal/qa"
+	"repro/internal/shard"
 	"repro/internal/xmldb"
 )
 
@@ -48,25 +48,28 @@ func newCoordinatorServices(t *testing.T, q *mq.Queue) (*Coordinator, *xmldb.DB)
 	o := ontology.New()
 	o.LoadContainment(g)
 	k := kb.New()
-	db := xmldb.New()
+	store, err := shard.New(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ie, err := extract.NewService(k, g, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	di, err := integrate.NewService(k, db)
+	di, err := shard.NewIntegrator(k, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := qa.NewService(db, k, g, o)
+	ans, err := qa.NewService(store, k, g, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(q, ie, SingleLane(di), ans, nil)
+	c, err := New(q, ie, di, ans, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.SetClock(func() time.Time { return time.Date(2011, 4, 1, 9, 0, 0, 0, time.UTC) })
-	return c, db
+	return c, store.Shard(0)
 }
 
 func TestWorkflowInformative(t *testing.T) {
@@ -75,7 +78,7 @@ func TestWorkflowInformative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, ok, err := c.ProcessOne()
+	out, ok, err := c.ProcessOne(context.Background())
 	if err != nil || !ok {
 		t.Fatalf("ProcessOne = %v, %v", ok, err)
 	}
@@ -114,14 +117,15 @@ func TestWorkflowRequest(t *testing.T) {
 	if _, err := c.Submit(context.Background(), "can anyone recommend a good hotel in Berlin?", "bob"); err != nil {
 		t.Fatal(err)
 	}
-	outs, errs := c.Drain(0)
-	if len(errs) != 0 {
-		t.Fatalf("errors: %v", errs)
+	// One message at a time: the request is answered only after the
+	// report before it is integrated.
+	if _, ok, err := c.ProcessOne(context.Background()); !ok || err != nil {
+		t.Fatalf("first ProcessOne = %v, %v", ok, err)
 	}
-	if len(outs) != 2 {
-		t.Fatalf("outcomes = %d", len(outs))
+	req, ok, err := c.ProcessOne(context.Background())
+	if !ok || err != nil {
+		t.Fatalf("second ProcessOne = %v, %v", ok, err)
 	}
-	req := outs[1]
 	if req.Type != extract.TypeRequest {
 		t.Fatalf("second message type = %s", req.Type)
 	}
@@ -139,7 +143,7 @@ func TestWorkflowRequest(t *testing.T) {
 
 func TestProcessOneEmptyQueue(t *testing.T) {
 	c, _ := newCoordinator(t)
-	if _, ok, err := c.ProcessOne(); ok || err != nil {
+	if _, ok, err := c.ProcessOne(context.Background()); ok || err != nil {
 		t.Errorf("empty queue: ok=%v err=%v", ok, err)
 	}
 }
@@ -151,7 +155,7 @@ func TestDrainLimit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	outs, errs := c.Drain(2)
+	outs, errs := c.Drain(context.Background(), 2)
 	if len(outs) != 2 || len(errs) != 0 {
 		t.Fatalf("drain(2) = %d outs, %d errs", len(outs), len(errs))
 	}
@@ -165,7 +169,7 @@ func TestMessageTagging(t *testing.T) {
 	if _, err := c.Submit(context.Background(), "is the road to Nairobi open?", "driver"); err != nil {
 		t.Fatal(err)
 	}
-	out, ok, err := c.ProcessOne()
+	out, ok, err := c.ProcessOne(context.Background())
 	if err != nil || !ok {
 		t.Fatalf("ProcessOne: %v %v", ok, err)
 	}
@@ -189,7 +193,7 @@ func TestCustomRulesUnknownStep(t *testing.T) {
 	if _, err := c.Submit(context.Background(), "lovely Axel Hotel in Berlin", "x"); err != nil {
 		t.Fatal(err)
 	}
-	_, ok, err := c.ProcessOne()
+	_, ok, err := c.ProcessOne(context.Background())
 	if !ok {
 		t.Fatal("message not processed")
 	}

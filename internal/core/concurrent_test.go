@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// The concurrent pipeline reaches the same stored state as the sequential
-// path for the same stream: every message processed exactly once, entity
+// The concurrent pipeline reaches the same stored state as processing
+// the same stream one message at a time: every message processed exactly once, entity
 // merging unchanged. Run with -race.
 func TestProcessConcurrentMatchesSequential(t *testing.T) {
 	stream := make([]string, 0, 30)
@@ -44,15 +44,15 @@ func TestProcessConcurrentMatchesSequential(t *testing.T) {
 		}
 	}
 
-	seqOuts, seqErrs := seq.Process(context.Background(), 0)
-	concOuts, concErrs := conc.ProcessConcurrent(context.Background(), 0)
-	if len(seqErrs) != 0 || len(concErrs) != 0 {
-		t.Fatalf("errors: seq=%v conc=%v", seqErrs, concErrs)
+	seqOuts := processOneByOne(t, seq)
+	concOuts, concErrs := conc.Process(context.Background(), 0)
+	if len(concErrs) != 0 {
+		t.Fatalf("errors: %v", concErrs)
 	}
 	if len(concOuts) != len(seqOuts) {
 		t.Fatalf("outcomes: conc=%d seq=%d", len(concOuts), len(seqOuts))
 	}
-	if got, want := conc.DB.Len("Hotels"), seq.DB.Len("Hotels"); got != want {
+	if got, want := conc.Store.Len("Hotels"), seq.Store.Len("Hotels"); got != want {
 		t.Fatalf("Hotels: conc=%d seq=%d", got, want)
 	}
 	if conc.Queue.Len() != 0 || conc.Queue.InFlight() != 0 {

@@ -31,7 +31,6 @@ import (
 	"repro/internal/readpath"
 	"repro/internal/shard"
 	"repro/internal/uncertain"
-	"repro/internal/xmldb"
 )
 
 // ErrNoDataDir reports a Checkpoint on a system built without a data
@@ -75,10 +74,11 @@ type Config struct {
 	// write (default 3).
 	CheckpointRetain int
 	// Workers sets the concurrency of the coordinator's stream-processing
-	// pipeline: Process and ProcessConcurrent run classification and
-	// extraction on this many goroutines while per-shard integration
-	// lanes serialize database writes. 0 defaults to GOMAXPROCS; 1 keeps
-	// the pipeline but with a single extraction worker.
+	// pipeline: Process and ProcessEach run classification and extraction
+	// on this many goroutines while per-shard integration lanes serialize
+	// database writes. 0 defaults to GOMAXPROCS; 1 runs one extraction
+	// worker, so every lane integrates in queue order. Ingest never uses
+	// the pool: it runs one message's stages on the caller's goroutine.
 	Workers int
 	// Shards partitions the probabilistic spatial XML database into this
 	// many independently locked shards, routed spatially (gazetteer-grid
@@ -125,18 +125,12 @@ type System struct {
 	Ont *ontology.Ontology
 	KB  *kb.KB
 	// Store is the (possibly sharded) probabilistic spatial XML store;
-	// with Shards <= 1 it wraps the single database. All reads that must
-	// see the whole system go through it.
+	// with Shards <= 1 it has one shard. All reads that must see the
+	// whole system go through it; Store.Shard(i) is one partition.
 	Store *shard.Store
-	// DB is the single database in the unsharded configuration, nil when
-	// Shards > 1 (use Store, or Store.Shard(i) for one partition).
-	DB    *xmldb.DB
 	Queue *mq.Queue
 	IE    *extract.Service
-	// DI is the integration service of shard 0 — the whole store's
-	// service in the unsharded configuration. DIs holds one service per
-	// shard.
-	DI  *integrate.Service
+	// DIs holds one integration service per shard.
 	DIs []*integrate.Service
 	QA  *qa.Service
 	MC  *coordinator.Coordinator
@@ -163,8 +157,6 @@ type System struct {
 	// tracing is off (Config.TraceRecorder == 0).
 	Recorder *obs.Recorder
 	clock    func() time.Time
-	// workers is the configured pipeline width (0 = GOMAXPROCS).
-	workers int
 	// ckptInterval is the configured checkpoint cadence the serving
 	// layer reads.
 	ckptInterval time.Duration
@@ -221,9 +213,6 @@ func New(cfg Config) (*System, error) {
 	s.Store, err = shard.New(shards, router)
 	if err != nil {
 		return nil, fmt.Errorf("core: building sharded store: %w", err)
-	}
-	if s.Store.NumShards() == 1 {
-		s.DB = s.Store.Shard(0)
 	}
 	if cfg.Clock != nil {
 		s.Store.SetClock(cfg.Clock)
@@ -355,7 +344,6 @@ func New(cfg Config) (*System, error) {
 		}
 	})
 	s.DIs = s.Integrator.Services()
-	s.DI = s.DIs[0]
 	if s.QA, err = qa.NewService(s.Store, s.KB, s.Gaz, s.Ont); err != nil {
 		return nil, err
 	}
@@ -364,7 +352,6 @@ func New(cfg Config) (*System, error) {
 	}
 	s.MC.SetWorkers(cfg.Workers)
 	s.MC.SetBatchSize(cfg.IntegrateBatch)
-	s.workers = cfg.Workers
 	if cfg.Clock != nil {
 		s.MC.SetClock(cfg.Clock)
 	}
@@ -412,26 +399,12 @@ func (s *System) Submit(ctx context.Context, body, source string) (int64, error)
 	return s.MC.Submit(ctx, body, source)
 }
 
-// Process drains the queue (up to limit messages; 0 = all) and returns the
-// outcomes. When Workers was explicitly configured above 1 it runs the
-// concurrent pipeline (outcomes in completion order, stopping early if
-// ctx is cancelled); otherwise it keeps the deterministic sequential
-// drain in queue order, so existing callers' ordering does not silently
-// become machine-dependent. Use ProcessConcurrent to opt in regardless
-// of configuration.
+// Process drains the queue (up to limit messages; 0 = all) through the
+// coordinator's pipeline at Config.Workers width, one integration lane
+// per shard, stopping early when ctx is cancelled. Outcomes arrive in
+// completion order.
 func (s *System) Process(ctx context.Context, limit int) ([]*coordinator.Outcome, []error) {
-	if s.workers > 1 {
-		return s.MC.DrainConcurrent(ctx, limit)
-	}
-	return s.MC.Drain(limit)
-}
-
-// ProcessConcurrent drains the queue through the coordinator's concurrent
-// worker-pool pipeline (width Workers, default GOMAXPROCS) into one
-// integration lane per shard, stopping early when ctx is cancelled.
-// Outcomes arrive in completion order.
-func (s *System) ProcessConcurrent(ctx context.Context, limit int) ([]*coordinator.Outcome, []error) {
-	return s.MC.DrainConcurrent(ctx, limit)
+	return s.MC.Drain(ctx, limit)
 }
 
 // ProcessEach drains the queue through the concurrent pipeline, streaming
@@ -442,16 +415,17 @@ func (s *System) ProcessEach(ctx context.Context, limit int, emit func(*coordina
 	s.MC.DrainEach(ctx, limit, emit)
 }
 
-// Ingest submits and fully processes one informative message, returning
-// its outcome. It processes the queue's next message — its own
-// submission only while no concurrent drain is leasing messages; serving
-// deployments use Submit + a drain for contributions and Ask for
+// Ingest submits one message and fully processes the queue's next one on
+// the caller's goroutine (coordinator.ProcessOne), returning its outcome
+// once it is integrated and acknowledged. The message processed is its
+// own submission only while no concurrent drain is leasing messages;
+// serving deployments use Submit + a drain for contributions and Ask for
 // questions.
 func (s *System) Ingest(ctx context.Context, body, source string) (*coordinator.Outcome, error) {
 	if _, err := s.Submit(ctx, body, source); err != nil {
 		return nil, err
 	}
-	out, ok, err := s.MC.ProcessOne()
+	out, ok, err := s.MC.ProcessOne(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -724,9 +698,7 @@ func (s *System) Snapshot(w io.Writer) error {
 }
 
 // Restore replaces the database contents and learned state with a
-// snapshot produced by Snapshot (a legacy bare store snapshot is also
-// accepted; it resets the learned state, which such images never
-// carried). On error the database is unchanged.
+// snapshot produced by Snapshot. On error the database is unchanged.
 func (s *System) Restore(r io.Reader) error {
 	return s.image().Restore(r)
 }

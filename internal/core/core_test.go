@@ -32,6 +32,24 @@ func newSystem(t *testing.T) *System {
 	return s
 }
 
+// processOneByOne drains s through ProcessOne in queue order, each
+// message integrated before the next starts: the deterministic reference
+// the differential tests compare against.
+func processOneByOne(t *testing.T, s *System) []*coordinator.Outcome {
+	t.Helper()
+	var outs []*coordinator.Outcome
+	for {
+		out, ok, err := s.MC.ProcessOne(context.Background())
+		if !ok {
+			return outs
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, out)
+	}
+}
+
 // TestPaperScenarioEndToEnd replays the paper's §"Example of a possible
 // scenario" through the whole Figure 3 architecture.
 func TestPaperScenarioEndToEnd(t *testing.T) {
@@ -53,7 +71,7 @@ func TestPaperScenarioEndToEnd(t *testing.T) {
 			t.Fatalf("message %d produced no integration", i)
 		}
 	}
-	if got := s.DB.Len("Hotels"); got != 3 {
+	if got := s.Store.Len("Hotels"); got != 3 {
 		t.Fatalf("Hotels records = %d, want 3 distinct hotels", got)
 	}
 	answer, err := s.Ask(context.Background(), "Can anyone recommend a good, but not ridiculously expensive hotel right in the middle of Berlin?", "asker")
@@ -113,7 +131,7 @@ func TestSubmitProcessBatch(t *testing.T) {
 		t.Fatalf("outcomes = %d", len(outs))
 	}
 	// All four messages merged into one hotel record.
-	if got := s.DB.Len("Hotels"); got != 1 {
+	if got := s.Store.Len("Hotels"); got != 1 {
 		t.Errorf("Hotels = %d, want 1 merged record", got)
 	}
 }
@@ -141,7 +159,7 @@ func TestDecayAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	later := t0.Add(400 * 24 * time.Hour)
-	s.DB.SetClock(func() time.Time { return later })
+	s.Store.SetClock(func() time.Time { return later })
 	decayed, deleted, err := s.DecayAll(later, 0.0)
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +294,7 @@ func TestEssexHousePriceConflict(t *testing.T) {
 	// The stored record carries exactly one resolved price — the
 	// contradiction must be settled, not duplicated.
 	var price string
-	sys.DB.Each("Hotels", func(rec *xmldb.Record) bool {
+	sys.Store.Shard(0).Each("Hotels", func(rec *xmldb.Record) bool {
 		if n, _ := rec.Doc.FirstChild("Price"); n != nil {
 			price = n.TextContent()
 		}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -64,12 +63,8 @@ func TestShardedFeedbackMatchesSingleStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, errs := single.Process(context.Background(), 0); len(errs) != 0 {
-		t.Fatalf("single drain errors: %v", errs)
-	}
-	if _, errs := sharded.Process(context.Background(), 0); len(errs) != 0 {
-		t.Fatalf("sharded drain errors: %v", errs)
-	}
+	processOneByOne(t, single)
+	processOneByOne(t, sharded)
 
 	// The same semantic verdicts, addressed per system by record ID.
 	verdicts := []struct {
@@ -208,19 +203,6 @@ func TestLearnedStateSurvivesRestart(t *testing.T) {
 	// And the watermark is honest: the applied verdict does not replay.
 	if n := restarted.FlushFeedback(); n != 0 {
 		t.Errorf("restart re-applied %d verdicts covered by the checkpoint", n)
-	}
-
-	// The legacy (bare store) snapshot path still restores — and resets
-	// the learned state those images never carried.
-	var legacy strings.Builder
-	if err := restarted.Store.Snapshot(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	if err := restarted.Restore(strings.NewReader(legacy.String())); err != nil {
-		t.Fatalf("legacy snapshot restore: %v", err)
-	}
-	if got := restarted.KB.Trust().Report(); len(got) != 0 {
-		t.Errorf("legacy restore kept learned trust: %+v", got)
 	}
 }
 

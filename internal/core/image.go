@@ -102,32 +102,16 @@ func (im image) write(w io.Writer, appliedSeq int64, done []int64) error {
 	return nil
 }
 
-// Restore replaces the store and the learned state from an image. A
-// stream that does not start with the composite header is treated as a
-// legacy bare store snapshot: the store restores from it and the
-// learned state resets to defaults (exactly what those older images
-// meant). The store section is fully validated before any live state is
-// touched.
+// Restore replaces the store and the learned state from an image. The
+// store section is fully validated before any live state is touched.
 func (im image) Restore(r io.Reader) error {
 	br := bufio.NewReader(r)
 	header, err := br.ReadString('\n')
-	if err != nil && (header == "" || err != io.EOF) {
+	if err != nil {
 		return fmt.Errorf("core: image header: %w", err)
 	}
 	if strings.TrimSuffix(header, "\n") != imageMagic {
-		// Legacy bare store snapshot (sharded or single-db): no learned
-		// state was recorded, so it resets along with the store contents.
-		if err := im.store.Restore(io.MultiReader(strings.NewReader(header), br)); err != nil {
-			return err
-		}
-		if err := im.trust.ImportState(uncertain.TrustState{}); err != nil {
-			return err
-		}
-		if err := im.priors.ImportState(nil); err != nil {
-			return err
-		}
-		im.adoptSeq(0, nil)
-		return nil
+		return fmt.Errorf("core: not a %s image (header %q)", imageMagic, header)
 	}
 	storeSec, err := readSection(br)
 	if err != nil {
@@ -163,18 +147,14 @@ func (im image) Restore(r io.Reader) error {
 	if err := im.priors.ImportState(aux.Priors); err != nil {
 		return err
 	}
-	im.adoptSeq(aux.FeedbackSeq, aux.FeedbackDone)
-	return nil
-}
-
-func (im image) adoptSeq(seq int64, done []int64) {
 	if im.recovered != nil {
-		im.recovered.seq = seq
-		im.recovered.done = done
+		im.recovered.seq = aux.FeedbackSeq
+		im.recovered.done = aux.FeedbackDone
 	}
 	if im.eng != nil {
-		im.eng.AdoptApplied(seq, done)
+		im.eng.AdoptApplied(aux.FeedbackSeq, aux.FeedbackDone)
 	}
+	return nil
 }
 
 func writeSection(w io.Writer, data []byte) error {

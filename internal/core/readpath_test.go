@@ -61,11 +61,8 @@ func TestCachedAskMatchesUncached(t *testing.T) {
 				}
 			}
 		}
-		for _, s := range []*System{plain, cached} {
-			if _, errs := s.Process(context.Background(), 0); len(errs) != 0 {
-				t.Fatalf("drain errors: %v", errs)
-			}
-		}
+		processOneByOne(t, plain)
+		processOneByOne(t, cached)
 	}
 	// compare asks every question on both systems — the cached one
 	// twice, so both the fill path and the hit path are checked against
@@ -348,7 +345,7 @@ func TestSubscribeWhileDrainingRace(t *testing.T) {
 		}(w)
 	}
 
-	if _, errs := sys.ProcessConcurrent(context.Background(), 0); len(errs) != 0 {
+	if _, errs := sys.Process(context.Background(), 0); len(errs) != 0 {
 		t.Fatalf("drain errors: %v", errs)
 	}
 	close(stop)

@@ -77,12 +77,8 @@ func TestShardedAskMatchesSingleStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, errs := single.Process(context.Background(), 0); len(errs) != 0 {
-		t.Fatalf("single drain errors: %v", errs)
-	}
-	if _, errs := sharded.Process(context.Background(), 0); len(errs) != 0 {
-		t.Fatalf("sharded drain errors: %v", errs)
-	}
+	processOneByOne(t, single)
+	processOneByOne(t, sharded)
 
 	if got, want := sharded.Store.Len("Hotels"), single.Store.Len("Hotels"); got != want {
 		t.Fatalf("Hotels: sharded=%d single=%d", got, want)
@@ -152,11 +148,8 @@ func TestShardedConcurrentDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantOuts, errs := single.Process(context.Background(), 0)
-	if len(errs) != 0 {
-		t.Fatalf("single drain errors: %v", errs)
-	}
-	gotOuts, errs := sharded.ProcessConcurrent(context.Background(), 0)
+	wantOuts := processOneByOne(t, single)
+	gotOuts, errs := sharded.Process(context.Background(), 0)
 	if len(errs) != 0 {
 		t.Fatalf("sharded drain errors: %v", errs)
 	}

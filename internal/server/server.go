@@ -144,16 +144,10 @@ func WithHeartbeatInterval(d time.Duration) Option {
 	return func(s *Server) { s.heartbeat = d }
 }
 
-// WithLogger routes the server's diagnostics (drain/checkpoint/decay
-// errors, masked 500 causes) to logf (default: the process slog
-// logger). The printf-shaped signature is kept for compatibility;
-// structured records render onto it as "msg key=value ..." lines.
-func WithLogger(logf func(format string, args ...any)) Option {
-	return func(s *Server) { s.log = slog.New(obs.NewLogfHandler(logf)) }
-}
-
-// WithSlog routes the server's diagnostics to a structured logger
-// directly (the daemon passes its -log-format/-log-level logger here).
+// WithSlog routes the server's diagnostics (drain/checkpoint/decay
+// errors, masked 500 causes) to a structured logger (default: the
+// process slog logger; the daemon passes its -log-format/-log-level
+// logger here).
 func WithSlog(l *slog.Logger) Option {
 	return func(s *Server) { s.log = l }
 }

@@ -98,9 +98,11 @@ func (in *Integrator) OnCommit(fn func(lane int, commits []Commit)) {
 }
 
 // IntegrateGroups integrates several messages' template groups on one
-// lane as a single amortized batch against that lane's shard. The caller
-// must serialise calls per lane (the coordinator runs one goroutine per
-// lane); calls on different lanes run concurrently.
+// lane as a single amortized batch against that lane's shard. A drain
+// serialises calls per lane (it runs one goroutine per lane); a
+// concurrent coordinator ProcessOne may add a call on the same lane,
+// which the shard's batch lock orders. Calls on different lanes run
+// concurrently.
 func (in *Integrator) IntegrateGroups(lane int, groups [][]extract.Template) [][]integrate.BatchResult {
 	out := in.svcs[lane].IntegrateGroups(groups)
 	if in.onCommit != nil {

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/xmldb"
 )
@@ -53,10 +52,6 @@ func (s *Store) Snapshot(w io.Writer) error {
 // snapshot leaves the store unchanged; afterwards each shard's ID
 // sequence is re-aligned onto its residue class so new inserts keep
 // strided, globally unique IDs.
-//
-// A single-shard store also accepts a bare xmldb snapshot (the format
-// the unsharded system wrote before sections existed), so snapshots
-// taken by earlier releases stay restorable.
 func (s *Store) Restore(r io.Reader) error {
 	br := bufio.NewReader(r)
 	header, err := br.ReadString('\n')
@@ -65,12 +60,6 @@ func (s *Store) Restore(r io.Reader) error {
 	}
 	var count int
 	if _, err := fmt.Sscanf(header, snapshotMagic+" %d\n", &count); err != nil {
-		if len(s.dbs) == 1 {
-			// Not a sectioned stream: hand the whole thing — consumed
-			// header line included — to the single shard as a legacy
-			// bare snapshot.
-			return s.dbs[0].Restore(io.MultiReader(strings.NewReader(header), br))
-		}
 		return fmt.Errorf("shard: restore: not a sharded snapshot (header %q)", header)
 	}
 	if count != len(s.dbs) {

@@ -73,10 +73,10 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoreLegacyBareSnapshot: a single-shard store accepts the bare
-// xmldb snapshot format the unsharded system wrote before sections
-// existed, so old snapshots stay restorable.
-func TestRestoreLegacyBareSnapshot(t *testing.T) {
+// TestRestoreRejectsBareSnapshot: a stream without the sectioned header
+// — such as a bare xmldb snapshot — is refused, and the one-shard store
+// it was aimed at keeps its contents.
+func TestRestoreRejectsBareSnapshot(t *testing.T) {
 	src, err := New(1, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -84,8 +84,8 @@ func TestRestoreLegacyBareSnapshot(t *testing.T) {
 	if _, err := src.Insert("Hotels", snapshotDoc(t, "Axel Hotel", "Berlin"), 0.8, nil); err != nil {
 		t.Fatal(err)
 	}
-	var legacy bytes.Buffer
-	if err := src.Shard(0).Snapshot(&legacy); err != nil { // the pre-section format
+	var bare bytes.Buffer
+	if err := src.Shard(0).Snapshot(&bare); err != nil {
 		t.Fatal(err)
 	}
 
@@ -93,11 +93,22 @@ func TestRestoreLegacyBareSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.Restore(bytes.NewReader(legacy.Bytes())); err != nil {
-		t.Fatalf("legacy restore: %v", err)
+	if _, err := dst.Insert("Hotels", snapshotDoc(t, "Movenpick Hotel", "Berlin"), 0.9, nil); err != nil {
+		t.Fatal(err)
 	}
-	if dst.Len("Hotels") != 1 {
-		t.Errorf("restored %d records, want 1", dst.Len("Hotels"))
+	var before bytes.Buffer
+	if err := dst.Snapshot(&before); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Restore(bytes.NewReader(bare.Bytes())); err == nil {
+		t.Fatal("bare snapshot accepted")
+	}
+	var after bytes.Buffer
+	if err := dst.Snapshot(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after.Bytes(), before.Bytes()) {
+		t.Error("rejected restore changed the store")
 	}
 }
 

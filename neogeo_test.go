@@ -246,23 +246,6 @@ func TestDrainConsumerPanic(t *testing.T) {
 	}
 }
 
-// TestDeprecatedConfigShim: the alias-era construction struct still
-// builds a working system.
-func TestDeprecatedConfigShim(t *testing.T) {
-	sys, err := NewFromConfig(Config{GazetteerNames: 300, Shards: 2, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	ctx := context.Background()
-	if _, err := sys.Ingest(ctx, "loved the Axel Hotel in Berlin, great stay", "alice"); err != nil {
-		t.Fatal(err)
-	}
-	if st := sys.Stats(); st.Shards != 2 {
-		t.Errorf("Shards = %d, want 2", st.Shards)
-	}
-}
-
 // TestFacadeSnapshotRoundTrip: a sharded system survives Snapshot/Restore
 // through the facade with byte-identical Ask answers.
 func TestFacadeSnapshotRoundTrip(t *testing.T) {

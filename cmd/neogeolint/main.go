@@ -51,7 +51,9 @@ import (
 // to invalidate go vet's result cache after changing an analyzer.
 // v2.0.0: dataflow engine (inspect/lockspan), facts, and the
 // versionbump/postcommit/lockdiscipline/metriclabels analyzers.
-const version = "v2.0.0"
+// v2.1.0: versionbump is a structural check of the Tx/Batch shape;
+// postcommit drops its early-publish rule.
+const version = "v2.1.0"
 
 func analyzers() []*analysis.Analyzer {
 	return suite.Analyzers()

@@ -1,6 +1,5 @@
 // Package lockspan is the intra-procedural locked-region layer the
-// concurrency analyzers (versionbump, postcommit, lockdiscipline) are
-// built on. For every function it tracks sync.Mutex / sync.RWMutex
+// concurrency analyzers (postcommit, lockdiscipline) are built on. For every function it tracks sync.Mutex / sync.RWMutex
 // Lock/RLock acquisitions, the statements executed while the lock is
 // held (in statement order, flattened through control flow), the
 // matching unlocks — direct, deferred, or deferred inside a func

@@ -1,25 +1,23 @@
-// Package postcommit pins the commit-then-publish ordering of the read
-// path: readpath.Broker publishes and the OnCommit/OnApplied hooks tell
-// subscribers "this state is now visible", so they must fire only after
-// the mutation is complete — never while a mutex is held (a slow or
-// wedged subscriber pipeline must not extend a critical section), and
-// never before the version bump that makes the commit observable (a
-// subscriber that re-queries on the event must not read pre-commit
-// state). It also restricts readpath.NewBroker construction to the
-// system wiring, keeping the single-broadcaster topology: one broker
-// per system is what makes "subscribers see every commit exactly once"
-// checkable at all.
+// Package postcommit pins how the read path announces commits:
+// readpath.Broker publishes and the OnCommit/OnApplied hooks tell
+// subscribers "this state is now visible", so they must never fire
+// while a mutex is held (a slow or wedged subscriber pipeline must not
+// extend a critical section). That they fire after the commit needs no
+// check: a hook's input is the change set xmldb.Batch returns, which
+// exists only once the batch committed and unlocked. The analyzer also
+// restricts readpath.NewBroker construction to the system wiring,
+// keeping the single-broadcaster topology: one broker per system is
+// what makes "subscribers see every commit exactly once" checkable at
+// all.
 package postcommit
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/passes/inspect"
 	"repro/internal/analysis/passes/lockspan"
-	"repro/internal/analysis/passes/versionbump"
 )
 
 const (
@@ -47,16 +45,11 @@ var hookNames = map[string]bool{
 
 var Analyzer = &analysis.Analyzer{
 	Name: "postcommit",
-	Doc: "broker publishes and commit hooks fire after the commit, outside locks\n\n" +
+	Doc: "one broker; broker publishes and commit hooks fire outside locks\n\n" +
 		"Publishing under a mutex couples subscriber latency to the\n" +
-		"critical section; publishing before the version bump announces\n" +
-		"state the announced readers cannot yet see.",
-	Requires: []*analysis.Analyzer{
-		inspect.Analyzer,
-		lockspan.Analyzer,
-		versionbump.Analyzer, // its facts identify mutating callees
-	},
-	Run: run,
+		"critical section.",
+	Requires: []*analysis.Analyzer{inspect.Analyzer, lockspan.Analyzer},
+	Run:      run,
 }
 
 func run(pass *analysis.Pass) (any, error) {
@@ -91,68 +84,7 @@ func run(pass *analysis.Pass) (any, error) {
 		})
 	}
 
-	// No publish before the commit completes: within one function, a
-	// publish lexically followed by a version bump or a call into a
-	// mutating function announces state that is not yet committed.
-	in.Preorder([]ast.Node{(*ast.FuncDecl)(nil), (*ast.FuncLit)(nil)}, func(n ast.Node) {
-		var body *ast.BlockStmt
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			body = n.Body
-		case *ast.FuncLit:
-			body = n.Body
-		}
-		if body == nil {
-			return
-		}
-		checkEarlyPublish(pass, n, body)
-	})
 	return nil, nil
-}
-
-// checkEarlyPublish scans one function (nested literals excluded — they
-// run elsewhere) for publishes followed by commit activity.
-func checkEarlyPublish(pass *analysis.Pass, fn ast.Node, body *ast.BlockStmt) {
-	type site struct {
-		pos  token.Pos
-		what string
-	}
-	var publishes []site
-	var commits []token.Pos
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok && lit != fn {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch {
-		case analysis.IsFunc(pass.TypesInfo, call, brokerPublish):
-			publishes = append(publishes, site{call.Pos(), "broker publish"})
-		case hookCall(pass.TypesInfo, call) != "":
-			publishes = append(publishes, site{call.Pos(), "commit hook " + hookCall(pass.TypesInfo, call)})
-		case isVersionBump(pass.TypesInfo, call):
-			commits = append(commits, call.Pos())
-		default:
-			if f := analysis.CalleeFunc(pass.TypesInfo, call); f != nil {
-				var mf versionbump.MutFact
-				if pass.ImportFact(f, &mf) && (mf.Mutates || mf.Bumps) {
-					commits = append(commits, call.Pos())
-				}
-			}
-		}
-		return true
-	})
-	for _, p := range publishes {
-		for _, c := range commits {
-			if c > p.pos {
-				pass.Reportf(p.pos,
-					"%s precedes a later commit in the same function — publish only after the mutation and its version bump", p.what)
-				break
-			}
-		}
-	}
 }
 
 // hookCall reports the hook name when the call invokes a func-typed
@@ -180,19 +112,4 @@ func hookCall(info *types.Info, call *ast.CallExpr) string {
 		}
 	}
 	return ""
-}
-
-// isVersionBump matches the project's bump convention: an Add call on a
-// struct field named "version".
-func isVersionBump(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Add" {
-		return false
-	}
-	field, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	s, ok := info.Selections[field]
-	return ok && s.Kind() == types.FieldVal && s.Obj().Name() == "version"
 }

@@ -1,6 +1,5 @@
-// Golden testdata for postcommit's three rules: no publish/hook under a
-// lock, no publish before the commit completes, no broker construction
-// outside the wiring.
+// Golden testdata for postcommit's rules: no publish/hook under a lock,
+// no broker construction outside the wiring.
 package integrate
 
 import (
@@ -29,12 +28,6 @@ func (l *Lane) BadLockedHook() {
 	l.mu.Lock()
 	l.onCommit(1) // want `commit hook onCommit invoked inside locked region l\.mu`
 	l.mu.Unlock()
-}
-
-// BadEarlyPublish announces the commit before bumping the version.
-func (l *Lane) BadEarlyPublish() {
-	l.broker.Publish("x") // want `broker publish precedes a later commit`
-	l.version.Add(1)
 }
 
 // BadConstruct builds a second broker outside the system wiring.

@@ -1,6 +1,6 @@
 // Golden testdata for versionbump: a miniature of the real xmldb
-// surface. Field names (collections/records/order/spatial/version) and
-// the wrapper-over-*Locked-helper shape mirror the production package.
+// surface. Field names (collections/records/order/spatial/version), the
+// Tx type and its touch method mirror the production package.
 package xmldb
 
 import (
@@ -27,104 +27,73 @@ type DB struct {
 	version     atomic.Int64
 }
 
-var errBoom = errors.New("boom")
-
-// Insert is the canonical clean shape: wrapper locks, helper mutates
-// and bumps on every path that changed state.
-func (db *DB) Insert(name string, id int64) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.insertLocked(name, id)
+type Tx struct {
+	db    *DB
+	dirty bool
 }
 
-func (db *DB) insertLocked(name string, id int64) error {
-	c, ok := db.collections[name]
+// Batch is the commit point: it builds the Tx and bumps once if dirty.
+func (db *DB) Batch(fn func(*Tx) error) error {
+	tx := &Tx{db: db}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	defer func() {
+		if tx.dirty {
+			db.version.Add(1)
+		}
+	}()
+	return fn(tx)
+}
+
+func (tx *Tx) touch() { tx.dirty = true }
+
+// Insert is the canonical clean write: validate, touch, mutate.
+func (tx *Tx) Insert(name string, id int64) error {
+	c, ok := tx.db.collections[name]
 	if !ok {
-		return errBoom // nothing mutated yet: clean early return
+		return errors.New("no collection") // nothing mutated yet
 	}
+	tx.touch()
 	c.records[id] = 1
 	c.order = append(c.order, id)
-	if err := c.spatial.Insert(id); err != nil {
-		db.version.Add(1) // records/order already changed: bump on the error path too
-		return err
-	}
-	db.version.Add(1)
-	return nil
+	return c.spatial.Insert(id)
 }
 
-// Len reads under RLock; reads need no bump.
-func (db *DB) Len(name string) int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	c, ok := db.collections[name]
-	if !ok {
-		return 0
-	}
-	return len(c.records)
-}
-
-// Near uses the spatial index's query method under RLock: only
-// Insert/Delete on the index count as mutations.
-func (db *DB) Near(name string, id int64) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	c, ok := db.collections[name]
-	if !ok {
-		return false
-	}
-	return c.spatial.Within(id)
-}
-
-// updateLocked reproduces the spatial error-path bug: the index is
-// mutated by Delete, then the Insert failure path returns without the
-// bump the happy path gets.
-func (db *DB) updateLocked(name string, id int64) error {
-	c, ok := db.collections[name]
-	if !ok {
-		return errBoom
-	}
+// Delete mutates before marking the batch dirty.
+func (tx *Tx) Delete(name string, id int64) {
+	c := tx.db.collections[name]
+	delete(c.records, id) // want `Tx write mutates store state before tx\.touch\(\) marks the batch dirty`
+	tx.touch()
 	c.spatial.Delete(id)
-	if err := c.spatial.Insert(id); err != nil {
-		return err // want `return after a tracked mutation with no version bump on this path`
-	}
-	c.records[id] = 2
-	db.version.Add(1)
-	return nil
 }
 
-// deleteAllLocked legitimately leaves the bump to its callers (the
-// *Locked contract): no finding here, but its fact says it ends with a
-// pending mutation.
-func (db *DB) deleteAllLocked(name string) error {
-	delete(db.collections, name)
-	return nil
+// Forget never marks the batch dirty.
+func (tx *Tx) Forget(name string) {
+	tx.db.collections[name] = nil // want `Tx write mutates store state before tx\.touch\(\) marks the batch dirty`
 }
 
-// Update reproduces the reverted-decay-bump shape: the locked region
-// delegates to a helper that ends pending and never bumps.
-func (db *DB) Update(name string) error {
+// Within is a read; reads need no touch.
+func (tx *Tx) Within(name string, id int64) bool {
+	return tx.db.collections[name].spatial.Within(id)
+}
+
+// Clear bypasses Batch: a locked mutation with no commit point.
+func (db *DB) Clear(name string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.deleteAllLocked(name) // want `return leaves locked region db\.mu with a mutation not covered by a version bump`
+	db.collections[name].order = nil       // want `store state mutated outside a Tx method`
+	db.collections[name].spatial.Delete(1) // want `store state mutated outside a Tx method`
 }
 
-// Touch mutates under a read lock.
-func (db *DB) Touch(name string) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	db.collections[name] = nil // want `mutation of tracked store state under read lock db\.mu`
+// Bump moves the version outside the commit point.
+func (db *DB) Bump() {
+	db.version.Add(1) // want `version written outside Batch`
 }
 
-// Clear mutates in a write region with no bump anywhere.
-func (db *DB) Clear(name string) {
-	db.mu.Lock() // want `locked region db\.mu mutates store state with no version bump before unlock`
-	db.collections[name] = nil
-	db.mu.Unlock()
+// Sneak builds a Tx that no Batch will commit.
+func (db *DB) Sneak() *Tx {
+	return &Tx{db: db} // want `xmldb\.Tx built outside Batch`
 }
 
-// UnsafeClear is exported without a bump so the shard testdata can
-// check cross-package fact flow; within this package the bump is its
-// callers' responsibility, so no finding here.
-func (db *DB) UnsafeClear(name string) {
-	delete(db.collections, name)
-}
+// Version is a read of the counter.
+func (db *DB) Version() int64 { return db.version.Load() }

@@ -9,5 +9,5 @@ import (
 
 func TestGolden(t *testing.T) {
 	analysistest.Run(t, "testdata", versionbump.Analyzer,
-		"repro/internal/xmldb", "repro/internal/shard")
+		"repro/internal/xmldb")
 }

@@ -289,17 +289,7 @@ func New(cfg Config) (*System, error) {
 		Clock:       s.clock,
 		AppliedSeq:  recoveredFB.seq,
 		AppliedDone: recoveredFB.done,
-		OnApplied: func(lane int, applied []feedback.Applied) {
-			if !s.Broker.ActiveOn(lane) {
-				return
-			}
-			now := s.clock()
-			for _, a := range applied {
-				if rec, ok := s.Store.Shard(lane).Get(a.Collection, a.RecordID); ok {
-					s.Broker.Publish(lane, a.Action, a.Collection, rec, now)
-				}
-			}
-		},
+		OnApplied:   s.publish,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: building feedback engine: %w", err)
@@ -328,21 +318,7 @@ func New(cfg Config) (*System, error) {
 	if s.Integrator, err = shard.NewIntegrator(s.KB, s.Store); err != nil {
 		return nil, err
 	}
-	// Standing queries see integration commits as they land: the hook
-	// runs on the lane goroutine after the batch's writes (and the
-	// shard's version bump), publishes the records' post-write state,
-	// and is skipped entirely while the lane has no subscribers.
-	s.Integrator.OnCommit(func(lane int, commits []shard.Commit) {
-		if !s.Broker.ActiveOn(lane) {
-			return
-		}
-		now := s.clock()
-		for _, c := range commits {
-			if rec, ok := s.Store.Shard(lane).Get(c.Collection, c.RecordID); ok {
-				s.Broker.Publish(lane, string(c.Action), c.Collection, rec, now)
-			}
-		}
-	})
+	s.Integrator.OnCommit(s.publish)
 	s.DIs = s.Integrator.Services()
 	if s.QA, err = qa.NewService(s.Store, s.KB, s.Gaz, s.Ont); err != nil {
 		return nil, err
@@ -379,6 +355,21 @@ func New(cfg Config) (*System, error) {
 	}
 	built = true
 	return s, nil
+}
+
+// publish is the commit hook of both write paths — the integration
+// lanes and the feedback engine's applies. It runs on the lane's
+// goroutine after the shard's batch committed, fans the committed
+// records out to the lane's standing queries, and is skipped entirely
+// while the lane has no subscribers.
+func (s *System) publish(lane int, commits []shard.Commit) {
+	if !s.Broker.ActiveOn(lane) {
+		return
+	}
+	now := s.clock()
+	for _, c := range commits {
+		s.Broker.Publish(lane, c.Action, c.Collection, c.Record, now)
+	}
 }
 
 // Close releases resources (the queue WAL, the feedback ledger and the
@@ -633,7 +624,7 @@ func (s *System) Checkpoint(ctx context.Context) (persist.Info, error) {
 	if err := ctx.Err(); err != nil {
 		return persist.Info{}, err
 	}
-	return s.Persist.CheckpointContext(ctx, s.image(), s.Queue.LSN())
+	return s.Persist.Checkpoint(ctx, s.image(), s.Queue.LSN())
 }
 
 // image assembles the composite durable state: store bytes plus the

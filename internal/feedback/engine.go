@@ -112,7 +112,7 @@ type Engine struct {
 	clock     func() time.Time
 	batch     int
 	verdictCF uncertain.CF
-	onApplied func(lane int, applied []Applied)
+	onApplied func(lane int, commits []shard.Commit)
 
 	// applyMu serialises batched applies and checkpoint freezes.
 	applyMu sync.Mutex
@@ -154,23 +154,14 @@ type Config struct {
 	// deferring. Park skips them, so a watermark hole never causes a
 	// double apply across crashes.
 	AppliedDone []int64
-	// OnApplied, when set, observes every lane's committed applies: it
-	// runs on the lane's apply goroutine AFTER the shard's batch
-	// committed (and its version counter moved), so a reader woken by it
-	// always sees the new state. It must be brief and must not call back
-	// into the engine. The read path hooks its standing-query
-	// broadcaster here.
-	OnApplied func(lane int, applied []Applied)
-}
-
-// Applied describes one verdict's committed database effect.
-type Applied struct {
-	// Collection and RecordID identify the updated record.
-	Collection string
-	RecordID   int64
-	// Action is the verdict's effect: "confirmed", "rejected" or
-	// "corrected".
-	Action string
+	// OnApplied, when set, observes every lane's committed applies, one
+	// shard.Commit per applied verdict, built from the shard's change
+	// set: it runs on the lane's apply goroutine after the shard's Batch
+	// returned (its version has moved and its lock is free), so a
+	// reader woken by it always sees the new state. It must be brief
+	// and must not call back into the engine. The read path hooks its
+	// standing-query broadcaster here.
+	OnApplied func(lane int, commits []shard.Commit)
 }
 
 // NewEngine builds an engine.
@@ -424,9 +415,10 @@ type outcome struct {
 // (applyMu); the trust model and priors are internally synchronised, so
 // cross-lane updates to them are safe.
 func (e *Engine) applyLane(lane int, batch []pending) (outcomes []outcome, kept []pending) {
-	var applied []Applied
+	// actions names each applied verdict's effect, in apply order.
+	var actions []string
 	db := e.store.Shard(lane)
-	_ = db.Batch(func(tx *xmldb.Tx) error {
+	changes, _ := db.Batch(func(tx *xmldb.Tx) error {
 		colls := tx.Collections()
 		for _, p := range batch {
 			rec, coll := findRecord(tx, colls, p.e.Verdict.RecordID)
@@ -455,21 +447,21 @@ func (e *Engine) applyLane(lane int, batch []pending) (outcomes []outcome, kept 
 				continue
 			}
 			outcomes = append(outcomes, outcome{seq: p.e.Seq, kind: kind})
-			if e.onApplied != nil {
-				applied = append(applied, Applied{
-					Collection: coll,
-					RecordID:   rec.ID,
-					Action:     kind.action(),
-				})
-			}
+			actions = append(actions, kind.action())
 		}
 		return nil
 	})
-	// The hook fires outside the batch: the writes (and the shard's
+	// The hook fires after the batch: the writes (and the shard's
 	// version bump) are committed, and a slow observer cannot extend the
-	// database lock's hold time.
-	if e.onApplied != nil && len(applied) > 0 {
-		e.onApplied(lane, applied)
+	// database lock's hold time. applyOne writes exactly one record when
+	// it succeeds and none when it fails, so the change set and actions
+	// line up one to one.
+	if e.onApplied != nil && len(changes) > 0 {
+		commits := make([]shard.Commit, len(changes))
+		for i, c := range changes {
+			commits[i] = shard.Commit{Action: actions[i], Collection: c.Collection, Record: c.Record}
+		}
+		e.onApplied(lane, commits)
 	}
 	return outcomes, kept
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"repro/internal/pxml"
 	"repro/internal/shard"
 	"repro/internal/uncertain"
+	"repro/internal/xmldb"
 )
 
 var t0 = time.Date(2011, 4, 1, 9, 0, 0, 0, time.UTC)
@@ -84,11 +86,25 @@ func hotelDoc(name, city, trace string) *pxml.Node {
 
 func (f *fixture) insert(t *testing.T, doc *pxml.Node, cf uncertain.CF, loc *geo.Point) int64 {
 	t.Helper()
-	rec, err := f.store.Insert("Hotels", doc, cf, loc)
-	if err != nil {
+	var rec *xmldb.Record
+	db := f.store.Shard(f.store.Router().Route(loc, shard.DocKey(doc)))
+	if _, err := db.Batch(func(tx *xmldb.Tx) error {
+		var err error
+		rec, err = tx.Insert("Hotels", doc, cf, loc)
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return rec.ID
+}
+
+// remove deletes a record from its home shard.
+func (f *fixture) remove(t *testing.T, id int64) {
+	t.Helper()
+	db := f.store.Shard(f.store.ShardFor(id))
+	if _, err := db.Batch(func(tx *xmldb.Tx) error { return tx.Delete("Hotels", id) }); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestConfirmAppliesAllThreeEffects: one confirm raises the record's
@@ -221,9 +237,7 @@ func TestTypedErrors(t *testing.T) {
 	}
 
 	// A deleted record is a stale answer, not an unknown reference.
-	if err := f.store.Delete("Hotels", id); err != nil {
-		t.Fatal(err)
-	}
+	f.remove(t, id)
 	if _, err := f.eng.Submit(Verdict{RecordID: id, Kind: KindConfirm}); !errors.Is(err, ErrStaleAnswer) {
 		t.Errorf("deleted record: err != ErrStaleAnswer")
 	}
@@ -261,9 +275,7 @@ func TestStaleBetweenAcceptAndApply(t *testing.T) {
 	if _, err := f.eng.Submit(Verdict{RecordID: id, Kind: KindConfirm}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.store.Delete("Hotels", id); err != nil {
-		t.Fatal(err)
-	}
+	f.remove(t, id)
 	if n := f.eng.Flush(); n != 0 {
 		t.Fatalf("Flush applied %d, want 0", n)
 	}
@@ -446,5 +458,58 @@ func TestFileLedgerRoundTrip(t *testing.T) {
 	}
 	if len(entries) != 4 || entries[3].Verdict.Kind != KindReject {
 		t.Fatalf("after torn-tail truncation + append: %d entries", len(entries))
+	}
+}
+
+// TestOnAppliedCarriesCommittedRecords: the hook gets one event per
+// applied verdict, in apply order, labelled with the verdict's effect
+// and carrying the record as the batch committed it; a verdict dropped
+// as stale adds nothing.
+func TestOnAppliedCarriesCommittedRecords(t *testing.T) {
+	f := newFixture(t, 16)
+	var mu sync.Mutex
+	var got []shard.Commit
+	eng, err := NewEngine(Config{
+		Store: f.store, KB: f.kb, Gaz: f.gaz, Priors: f.priors, Ledger: NewMemLedger(),
+		Batch: 16, Clock: func() time.Time { return t0 },
+		OnApplied: func(lane int, commits []shard.Commit) {
+			mu.Lock()
+			defer mu.Unlock()
+			got = append(got, commits...)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := f.insert(t, hotelDoc("Grand Plaza", "Paris", "alice"), 0.6, nil)
+	gone := f.insert(t, hotelDoc("Old Inn", "Paris", "alice"), 0.6, nil)
+	lat, lon := f.parisTX.Location.Lat, f.parisTX.Location.Lon
+	for _, v := range []Verdict{
+		{RecordID: id, Kind: KindConfirm, Source: "erin"},
+		{RecordID: gone, Kind: KindConfirm, Source: "erin"},
+		{RecordID: id, Kind: KindReject, Source: "critic"},
+		{RecordID: id, Kind: KindCorrect, Source: "local", Field: "City", Value: "Paris", Lat: &lat, Lon: &lon},
+	} {
+		if _, err := eng.Submit(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.remove(t, gone)
+	eng.Flush()
+
+	want := []string{"confirmed", "rejected", "corrected"}
+	if len(got) != len(want) {
+		t.Fatalf("hook saw %d events, want %d: %+v", len(got), len(want), got)
+	}
+	for i, c := range got {
+		if c.Action != want[i] || c.Collection != "Hotels" || c.Record.ID != id {
+			t.Fatalf("event %d = %s %s/%d, want %s Hotels/%d", i, c.Action, c.Collection, c.Record.ID, want[i], id)
+		}
+	}
+	if got[0].Record.Certainty <= 0.6 || got[1].Record.Certainty >= got[0].Record.Certainty {
+		t.Errorf("certainties %v then %v: confirm must raise, reject lower", got[0].Record.Certainty, got[1].Record.Certainty)
+	}
+	if rec, _ := f.store.Get("Hotels", id); got[2].Record != rec {
+		t.Error("last event does not carry the stored record")
 	}
 }

@@ -26,9 +26,9 @@ func batchTemplate(name, attitude, source string, at time.Time) extract.Template
 	}
 }
 
-// IntegrateBatch must match per-call Integrate semantics: same entity
-// merges, distinct entities insert, and a bad template fails alone without
-// poisoning the rest of the batch.
+// IntegrateGroups, with one group per template, must match per-call
+// Integrate semantics: same entity merges, distinct entities insert, and
+// a bad template fails alone without poisoning the rest of the batch.
 func TestIntegrateBatchMatchesSequential(t *testing.T) {
 	now := time.Unix(1_300_000_000, 0)
 	tpls := []extract.Template{
@@ -43,7 +43,15 @@ func TestIntegrateBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := svc.IntegrateBatch(tpls)
+	groups := make([][]extract.Template, len(tpls))
+	for i, tpl := range tpls {
+		groups[i] = []extract.Template{tpl}
+	}
+	grouped, _ := svc.IntegrateGroups(groups)
+	results := make([]BatchResult, len(grouped))
+	for i, group := range grouped {
+		results[i] = group[0]
+	}
 	if len(results) != len(tpls) {
 		t.Fatalf("got %d results, want %d", len(results), len(tpls))
 	}

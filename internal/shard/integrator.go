@@ -6,6 +6,7 @@ import (
 	"repro/internal/extract"
 	"repro/internal/integrate"
 	"repro/internal/kb"
+	"repro/internal/xmldb"
 )
 
 // Integrator is the sharded integration sink for the coordinator's
@@ -25,15 +26,18 @@ type Integrator struct {
 	onCommit func(lane int, commits []Commit)
 }
 
-// Commit describes one record an integration batch wrote, for the
-// read path's standing-query broadcaster.
+// Commit is one committed write as the commit hooks see it — the event
+// type shared by the integration lanes (OnCommit) and the feedback
+// engine (feedback.Config.OnApplied). Hooks run after the shard's Batch
+// returned, so the commit is visible to every reader when they fire.
 type Commit struct {
-	// Collection is the record's collection (from the template's domain).
+	// Action is what the write did: "inserted" or "merged" for
+	// integration, "confirmed", "rejected" or "corrected" for feedback.
+	Action string
+	// Collection is the record's collection.
 	Collection string
-	// RecordID is the written record.
-	RecordID int64
-	// Action is what integration did: inserted or merged.
-	Action integrate.Action
+	// Record is the record as the batch committed it.
+	Record *xmldb.Record
 }
 
 // NewIntegrator builds one integration service per shard of the store.
@@ -86,13 +90,14 @@ func (in *Integrator) Route(tpls []extract.Template) int {
 	return 0
 }
 
-// OnCommit installs a hook observing every lane commit, called after
-// the batch's database writes with the lane index and the records it
-// wrote. The hook runs on the lane goroutine AFTER the shard's version
-// counter moved (the writes are done), so a reader woken by it always
-// sees the new state; it must be brief and must not call back into the
-// integrator. Install before processing starts — the field is not
-// synchronised against concurrent IntegrateGroups calls.
+// OnCommit installs a hook observing every lane commit, called with the
+// lane index and the records the batch wrote, built from the shard's
+// change set. The hook runs on the lane goroutine after the shard's
+// Batch returned — the version has moved and the lock is free — so a
+// reader woken by it always sees the new state; it must be brief and
+// must not call back into the integrator. Install before processing
+// starts — the field is not synchronised against concurrent
+// IntegrateGroups calls.
 func (in *Integrator) OnCommit(fn func(lane int, commits []Commit)) {
 	in.onCommit = fn
 }
@@ -104,29 +109,19 @@ func (in *Integrator) OnCommit(fn func(lane int, commits []Commit)) {
 // which the shard's batch lock orders. Calls on different lanes run
 // concurrently.
 func (in *Integrator) IntegrateGroups(lane int, groups [][]extract.Template) [][]integrate.BatchResult {
-	out := in.svcs[lane].IntegrateGroups(groups)
-	if in.onCommit != nil {
-		var commits []Commit
-		for gi, results := range out {
-			group := groups[gi]
-			for ti, res := range results {
-				if res.Err != nil || res.Result == nil || res.Result.RecordID == 0 || ti >= len(group) {
-					continue
-				}
-				d, ok := in.kb.Domain(group[ti].Domain)
-				if !ok {
-					continue
-				}
-				commits = append(commits, Commit{
-					Collection: d.Collection,
-					RecordID:   res.Result.RecordID,
-					Action:     res.Result.Action,
-				})
+	out, changes := in.svcs[lane].IntegrateGroups(groups)
+	if in.onCommit != nil && len(changes) > 0 {
+		commits := make([]Commit, len(changes))
+		for i, c := range changes {
+			// Integration inserts a new entity or merges into an
+			// existing one; it never deletes.
+			action := integrate.ActionMerged
+			if c.Op == xmldb.OpInsert {
+				action = integrate.ActionInserted
 			}
+			commits[i] = Commit{Action: string(action), Collection: c.Collection, Record: c.Record}
 		}
-		if len(commits) > 0 {
-			in.onCommit(lane, commits)
-		}
+		in.onCommit(lane, commits)
 	}
 	return out
 }

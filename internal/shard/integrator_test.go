@@ -10,6 +10,7 @@ import (
 	"repro/internal/integrate"
 	"repro/internal/kb"
 	"repro/internal/uncertain"
+	"repro/internal/xmldb"
 )
 
 func hotelTemplate(name, city string, loc *geo.Point, source string) extract.Template {
@@ -118,10 +119,11 @@ func TestIntegratorLanesAreIndependentStores(t *testing.T) {
 }
 
 // TestDirectInsertAgreesWithLaneRouting pins the placement contract
-// between the two write paths for location-less records: a document
-// inserted through the exported Store.Insert must land on the same
-// shard that Integrator.Route sends the corresponding template to, so
-// lane-local duplicate detection finds pre-loaded records.
+// for location-less records: a document placed by the router on its
+// DocKey must land on the same shard that Integrator.Route sends the
+// corresponding template to, so the read path's entity-keyed standing
+// queries and lane-local duplicate detection agree on where an entity
+// lives.
 func TestDirectInsertAgreesWithLaneRouting(t *testing.T) {
 	st, err := New(8, nil)
 	if err != nil {
@@ -138,12 +140,78 @@ func TestDirectInsertAgreesWithLaneRouting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := st.Insert("Hotels", doc, 0.5, nil)
+		rec, err := insert(st, "Hotels", doc, 0.5, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, want := st.ShardFor(rec.ID), in.Route([]extract.Template{tpl}); got != want {
 			t.Fatalf("%q: direct insert placed on shard %d, lanes route to %d", name, got, want)
 		}
+	}
+}
+
+// TestCommitHookSeesCommittedState pins when OnCommit fires: after the
+// lane's Batch returned, so the shard's version has already moved and
+// its lock is free — a hook that reads the shard must not deadlock —
+// and each event carries the record as that batch committed it.
+func TestCommitHookSeesCommittedState(t *testing.T) {
+	st, err := New(2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := NewIntegrator(kb.New(), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	berlin := geo.Point{Lat: 52.52, Lon: 13.405}
+	first := hotelTemplate("Axel Hotel", "Berlin", &berlin, "alice")
+	lane := in.Route([]extract.Template{first})
+	before := st.Versions()[lane]
+
+	var got []Commit
+	in.OnCommit(func(hookLane int, commits []Commit) {
+		if hookLane != lane {
+			t.Errorf("hook lane = %d, want %d", hookLane, lane)
+		}
+		if v := st.Versions()[lane]; v != before+1 {
+			t.Errorf("inside the hook the shard version is %d, want %d", v, before+1)
+		}
+		read := make(chan *xmldb.Record, 1)
+		go func() {
+			rec, _ := st.Shard(lane).Get(commits[0].Collection, commits[0].Record.ID)
+			read <- rec
+		}()
+		select {
+		case rec := <-read:
+			if rec != commits[len(commits)-1].Record {
+				t.Errorf("Get returned %p, want the committed record %p", rec, commits[len(commits)-1].Record)
+			}
+		case <-time.After(5 * time.Second):
+			t.Error("Get on the lane's shard blocked inside the hook: the batch lock is still held")
+		}
+		got = append(got, commits...)
+	})
+
+	in.IntegrateGroups(lane, [][]extract.Template{
+		{first},
+		{hotelTemplate("Axel Hotel", "Berlin", &berlin, "bob")},
+	})
+	if len(got) != 2 {
+		t.Fatalf("hook saw %d commits, want 2", len(got))
+	}
+	for i, want := range []integrate.Action{integrate.ActionInserted, integrate.ActionMerged} {
+		if got[i].Action != string(want) || got[i].Collection != "Hotels" || got[i].Record.ID != got[0].Record.ID {
+			t.Fatalf("commit %d = %+v, want %s of Hotels/%d", i, got[i], want, got[0].Record.ID)
+		}
+	}
+	if got[0].Record == got[1].Record {
+		t.Fatal("insert and merge events share one record snapshot")
+	}
+
+	// A batch that writes nothing fires no hook.
+	got = nil
+	in.IntegrateGroups(lane, [][]extract.Template{{{Domain: "no-such-domain"}}})
+	if len(got) != 0 {
+		t.Fatalf("failed batch fired the hook with %+v", got)
 	}
 }

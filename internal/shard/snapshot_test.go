@@ -43,7 +43,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Insert("Hotels", snapshotDoc(t, fmt.Sprintf("Hotel %d", i), c.name), 0.8, &p); err != nil {
+		if _, err := insert(s, "Hotels", snapshotDoc(t, fmt.Sprintf("Hotel %d", i), c.name), 0.8, &p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,7 +81,7 @@ func TestRestoreRejectsBareSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.Insert("Hotels", snapshotDoc(t, "Axel Hotel", "Berlin"), 0.8, nil); err != nil {
+	if _, err := insert(src, "Hotels", snapshotDoc(t, "Axel Hotel", "Berlin"), 0.8, nil); err != nil {
 		t.Fatal(err)
 	}
 	var bare bytes.Buffer
@@ -93,7 +93,7 @@ func TestRestoreRejectsBareSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dst.Insert("Hotels", snapshotDoc(t, "Movenpick Hotel", "Berlin"), 0.9, nil); err != nil {
+	if _, err := insert(dst, "Hotels", snapshotDoc(t, "Movenpick Hotel", "Berlin"), 0.9, nil); err != nil {
 		t.Fatal(err)
 	}
 	var before bytes.Buffer
@@ -119,7 +119,7 @@ func TestRestoreValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.Insert("Hotels", snapshotDoc(t, "Axel Hotel", "Berlin"), 0.8, nil); err != nil {
+	if _, err := insert(src, "Hotels", snapshotDoc(t, "Axel Hotel", "Berlin"), 0.8, nil); err != nil {
 		t.Fatal(err)
 	}
 	var img bytes.Buffer
@@ -139,7 +139,7 @@ func TestRestoreValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := populated.Insert("Hotels", snapshotDoc(t, "Movenpick Hotel", "Berlin"), 0.9, nil); err != nil {
+	if _, err := insert(populated, "Hotels", snapshotDoc(t, "Movenpick Hotel", "Berlin"), 0.9, nil); err != nil {
 		t.Fatal(err)
 	}
 	before := populated.Len("Hotels")

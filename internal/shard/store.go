@@ -9,16 +9,14 @@ import (
 	"time"
 
 	"repro/internal/geo"
-	"repro/internal/integrate"
 	"repro/internal/obs"
 	"repro/internal/pxml"
-	"repro/internal/uncertain"
 	"repro/internal/xmldb"
 )
 
 // Store fan-out timings: Run covers the QA service's query path
-// (scatter to every shard, merge, re-rank); Near the spatial probe the
-// integrator's duplicate-blocking uses.
+// (scatter to every shard, merge, re-rank); Near the cross-shard
+// spatial probe.
 var (
 	mStoreQuerySeconds = obs.Default().Histogram("neogeo_store_query_seconds",
 		"Cross-shard store operation wall time.", nil, "op")
@@ -35,10 +33,12 @@ const (
 	spanShardNear = "shard_near"
 )
 
-// Store partitions records across N independent xmldb databases. Writes
-// route to one shard (spatially via the Router for located records, by
-// entity-key hash otherwise; updates and deletes by the shard encoded in
-// the record ID); reads scatter across all shards in parallel and merge.
+// Store partitions records across N independent xmldb databases. It has
+// no write methods: every write is an xmldb.Batch on one shard, made by
+// that shard's integration lane (Integrator, which routes spatially via
+// the Router for located records and by entity-key hash otherwise) or
+// by the feedback engine's apply for the shard. Reads scatter across
+// all shards in parallel and merge.
 //
 // Record IDs are globally unique: shard i issues IDs i+1, i+1+N,
 // i+1+2N, …, so a record's home shard is recoverable from its ID alone
@@ -46,11 +46,6 @@ const (
 // decided at insert, and a later location update leaves it on its home
 // shard (the router cell and the 50 km duplicate-blocking radius are
 // coarse enough that this does not split entities in practice).
-//
-// Store satisfies the integrate.Store interface, so the unsharded
-// integration logic runs against it unchanged; per-shard integration
-// (one integrate.Service per shard, see Integrator) is the faster path
-// the concurrent pipeline uses.
 type Store struct {
 	router Router
 	dbs    []*xmldb.DB
@@ -58,8 +53,6 @@ type Store struct {
 	// audits, on top of the live per-shard counters (see Drift).
 	restoreDrift atomic.Int64
 }
-
-var _ integrate.Store = (*Store)(nil)
 
 // New returns a store of n empty shards (n >= 1). A nil router installs
 // the default spatial GridRouter over n shards; a non-nil router must
@@ -166,8 +159,8 @@ func (s *Store) fanOut(fn func(i int, db *xmldb.DB)) {
 // first child element that has any — the domain key field for every
 // built-in domain, since templates emit the key field first (see
 // extract.Template.fieldOrder). It must return the bare field text,
-// exactly what Integrator.Route feeds the router, so direct Store
-// writes and routed integration lanes agree on placement. The read
+// exactly what Integrator.Route feeds the router, so a document's key
+// and its integration lane agree on placement. The read
 // path's entity-keyed standing queries match on the same key, so a
 // subscription and the router agree about which records an entity name
 // denotes.
@@ -186,24 +179,9 @@ func DocKey(doc *pxml.Node) string {
 	return doc.Tag
 }
 
-// Insert stores a document on the shard the router assigns it.
-func (s *Store) Insert(collection string, doc *pxml.Node, certainty uncertain.CF, loc *geo.Point) (*xmldb.Record, error) {
-	return s.dbs[s.router.Route(loc, DocKey(doc))].Insert(collection, doc, certainty, loc)
-}
-
-// Update replaces a record on its home shard (derived from the ID).
-func (s *Store) Update(collection string, id int64, doc *pxml.Node, certainty uncertain.CF, newLoc *geo.Point) error {
-	return s.dbs[s.ShardFor(id)].Update(collection, id, doc, certainty, newLoc)
-}
-
 // Get is a point read against the record's home shard.
 func (s *Store) Get(collection string, id int64) (*xmldb.Record, bool) {
 	return s.dbs[s.ShardFor(id)].Get(collection, id)
-}
-
-// Delete removes a record from its home shard.
-func (s *Store) Delete(collection string, id int64) error {
-	return s.dbs[s.ShardFor(id)].Delete(collection, id)
 }
 
 // Len returns the number of records in a collection across all shards.
@@ -237,19 +215,13 @@ func (s *Store) Each(collection string, fn func(*xmldb.Record) bool) {
 	}
 }
 
-// Near scatters the radius query across every shard's spatial index in
-// parallel and merges to one nearest-first ID list — a radius that
-// straddles shard grid-cell boundaries sees exactly the records a
+// NearContext scatters the radius query across every shard's spatial
+// index in parallel and merges to one nearest-first ID list — a radius
+// that straddles shard grid-cell boundaries sees exactly the records a
 // single-store query would, because membership is re-checked per shard
-// and the merge re-sorts by true distance.
-func (s *Store) Near(collection string, p geo.Point, radiusMeters float64) []int64 {
-	//lint:ignore ctxflow compat wrapper for ctx-less callers; NearContext is the cancellable path
-	return s.NearContext(context.Background(), collection, p, radiusMeters)
-}
-
-// NearContext is Near carrying the caller's context: when the request
-// is being traced, each shard's probe becomes a child span tagged with
-// its shard index.
+// and the merge re-sorts by true distance. When the request is being
+// traced, each shard's probe becomes a child span tagged with its shard
+// index.
 func (s *Store) NearContext(ctx context.Context, collection string, p geo.Point, radiusMeters float64) []int64 {
 	defer storeNearSeconds.Since(time.Now())
 	type hit struct {

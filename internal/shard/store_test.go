@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -16,9 +17,26 @@ func hotelDoc(name string) *pxml.Node {
 	return pxml.Elem("Hotel", pxml.ElemText("Hotel_Name", name))
 }
 
+// insertDB writes one document to a database as a batch of its own.
+func insertDB(db *xmldb.DB, collection string, doc *pxml.Node, cf uncertain.CF, loc *geo.Point) (*xmldb.Record, error) {
+	var rec *xmldb.Record
+	_, err := db.Batch(func(tx *xmldb.Tx) error {
+		var err error
+		rec, err = tx.Insert(collection, doc, cf, loc)
+		return err
+	})
+	return rec, err
+}
+
+// insert writes one document to the shard the router assigns it, the
+// placement an integration lane gives the same record.
+func insert(st *Store, collection string, doc *pxml.Node, cf uncertain.CF, loc *geo.Point) (*xmldb.Record, error) {
+	return insertDB(st.Shard(st.Router().Route(loc, DocKey(doc))), collection, doc, cf, loc)
+}
+
 func mustInsert(t *testing.T, st *Store, name string, loc *geo.Point, cf uncertain.CF) *xmldb.Record {
 	t.Helper()
-	rec, err := st.Insert("Hotels", hotelDoc(name), cf, loc)
+	rec, err := insert(st, "Hotels", hotelDoc(name), cf, loc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +136,17 @@ func TestStoreUpdateDeleteRouteByID(t *testing.T) {
 	}
 	p := geo.Point{Lat: 52.52, Lon: 13.405}
 	rec := mustInsert(t, st, "Axel Hotel", &p, 0.5)
-	if err := st.Update("Hotels", rec.ID, hotelDoc("Axel Hotel Berlin"), 0.7, nil); err != nil {
+	home := st.Shard(st.ShardFor(rec.ID))
+	if _, err := home.Batch(func(tx *xmldb.Tx) error {
+		return tx.Update("Hotels", rec.ID, hotelDoc("Axel Hotel Berlin"), 0.7, nil)
+	}); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := st.Get("Hotels", rec.ID)
 	if !ok || got.Certainty != 0.7 {
 		t.Fatalf("after update: %+v, %v", got, ok)
 	}
-	if err := st.Delete("Hotels", rec.ID); err != nil {
+	if _, err := home.Batch(func(tx *xmldb.Tx) error { return tx.Delete("Hotels", rec.ID) }); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := st.Get("Hotels", rec.ID); ok {
@@ -203,10 +224,10 @@ func TestNearMatchesSingleStore(t *testing.T) {
 			Lon: -5 + rng.Float64()*30, // -5..25
 		}
 		name := fmt.Sprintf("Hotel %d", i)
-		if _, err := st.Insert("Hotels", hotelDoc(name), 0.5, &p); err != nil {
+		if _, err := insert(st, "Hotels", hotelDoc(name), 0.5, &p); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := single.Insert("Hotels", hotelDoc(name), 0.5, &p); err != nil {
+		if _, err := insertDB(single, "Hotels", hotelDoc(name), 0.5, &p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,7 +236,7 @@ func TestNearMatchesSingleStore(t *testing.T) {
 		// From sub-cell (50 km) to continent-straddling (1500 km) radii;
 		// grid cells at the default precision are ~156 km.
 		radius := 50_000 + rng.Float64()*1_450_000
-		gotIDs := st.Near("Hotels", center, radius)
+		gotIDs := st.NearContext(context.Background(), "Hotels", center, radius)
 		wantIDs := single.Near("Hotels", center, radius)
 
 		got := make([]string, len(gotIDs))
@@ -296,10 +317,10 @@ func TestStoreCollectionsUnion(t *testing.T) {
 	}
 	// Force records onto both shards directly to get disjoint collection
 	// sets per shard.
-	if _, err := st.Shard(0).Insert("Hotels", hotelDoc("A"), 0.5, nil); err != nil {
+	if _, err := insertDB(st.Shard(0), "Hotels", hotelDoc("A"), 0.5, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Shard(1).Insert("Roads", pxml.Elem("RoadReport", pxml.ElemText("Place", "A2")), 0.5, nil); err != nil {
+	if _, err := insertDB(st.Shard(1), "Roads", pxml.Elem("RoadReport", pxml.ElemText("Place", "A2")), 0.5, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := st.Collections()

@@ -19,11 +19,12 @@ import (
 
 // Record is one stored probabilistic document.
 //
-// Records handed out by Get/Each/Batch are immutable snapshots: Update
-// replaces the stored *Record rather than mutating it, so a pointer
-// obtained under the lock stays safe to read after the lock is released.
-// Callers must not mutate a returned record or its document; to change a
-// record, Clone its Doc and call Update.
+// Records handed out by Get/Each, by Tx reads and in a Batch's change
+// set are immutable snapshots: Tx.Update replaces the stored *Record
+// rather than mutating it, so a pointer obtained under the lock stays
+// safe to read after the lock is released. Callers must not mutate a
+// returned record or its document; to change a record, Clone its Doc
+// and call Tx.Update inside a Batch, which commits it as a new version.
 type Record struct {
 	ID int64
 	// Doc is the probabilistic XML tree; its root tag is the record type.
@@ -58,13 +59,14 @@ type DB struct {
 	// record's shard is recoverable from its ID alone.
 	idStride int64
 	clock    func() time.Time
-	// version counts successful mutations (insert, update, delete,
-	// restore). It is the database's cache-invalidation spine: any reader
-	// that records the version before a query and re-checks it later can
-	// tell whether the data the query saw may have changed. The bump
-	// happens at the END of each mutation, still under the write lock, so
-	// a reader that observes version v is guaranteed to see every
-	// mutation that produced v once it acquires the read lock.
+	// version counts committed batches: Batch bumps it once, still under
+	// the write lock, for every batch that wrote anything (Restore's
+	// swap is a batch too). It is the database's cache-invalidation
+	// spine: any reader that records the version before a query and
+	// re-checks it later can tell whether the data the query saw may
+	// have changed, and a reader that observes version v is guaranteed
+	// to see every write of the batches that produced v once it
+	// acquires the read lock.
 	version atomic.Int64
 	// locDrift counts updates that changed where a record IS relative to
 	// where it LIVES: a record gains a location or its coordinates move,
@@ -150,19 +152,6 @@ func (db *DB) SetClock(clock func() time.Time) {
 	db.clock = clock
 }
 
-func (db *DB) collection(name string) *Collection {
-	c, ok := db.collections[name]
-	if !ok {
-		c = &Collection{
-			name:    name,
-			records: make(map[int64]*Record),
-			spatial: geo.NewRTree[int64](),
-		}
-		db.collections[name] = c
-	}
-	return c
-}
-
 // Collections returns the collection names, sorted.
 func (db *DB) Collections() []string {
 	db.mu.RLock()
@@ -177,38 +166,94 @@ func (tx *Tx) Collections() []string {
 
 // Tx is a view of the database inside a Batch call: the database lock is
 // held once for the whole batch, so a run of reads and writes executes
-// atomically and amortizes lock acquisition across the batch. A Tx must
-// not escape its Batch function, and Batch must not be nested or call the
-// locking DB methods (the lock is not reentrant).
+// atomically and amortizes lock acquisition across the batch. Tx is the
+// only way to mutate a database. A Tx must not escape its Batch
+// function, and Batch must not be nested or call the locking DB methods
+// (the lock is not reentrant).
 type Tx struct {
 	db *DB
+	// dirty is set before a write first touches state, so a write that
+	// fails partway still makes Batch bump the version.
+	dirty   bool
+	changes []Change
+}
+
+// Op names the kind of write a Change records.
+type Op string
+
+// Write kinds.
+const (
+	OpInsert Op = "insert"
+	OpUpdate Op = "update"
+	OpDelete Op = "delete"
+)
+
+// Change is one successful write of a batch, in the order the batch
+// made it.
+type Change struct {
+	Op         Op
+	Collection string
+	// Record is the committed snapshot: the inserted or updated record,
+	// or the deleted record's last state. It is immutable like every
+	// record the database hands out.
+	Record *Record
 }
 
 // Batch runs fn with the database exclusively locked, giving it an
 // atomic, amortized view for multi-record work — the data-integration
-// service's find-duplicate-then-update sequences and bulk insert paths.
+// service's find-duplicate-then-update sequences, the feedback engine's
+// verdict applies and Restore's swap. It is the database's one commit
+// point: if fn wrote anything, the version moves by exactly one, still
+// under the lock, so a reader that sees the new version also sees every
+// write of the batch. Batch returns the batch's successful writes in
+// order once the lock is released; a commit hook built from them can
+// never announce state a reader cannot see.
+//
 // The error from fn is returned verbatim; there is no rollback, so fn is
-// responsible for leaving the database consistent on error (matching the
-// per-call semantics of the unbatched methods).
-func (db *DB) Batch(fn func(*Tx) error) error {
+// responsible for leaving the database consistent on error. Writes made
+// before the error stay committed and are in the change set.
+func (db *DB) Batch(fn func(*Tx) error) ([]Change, error) {
+	tx := &Tx{db: db}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return fn(&Tx{db: db})
+	// Deferred so a panicking fn that already touched state still
+	// invalidates; defers run last-in first-out, so the bump lands
+	// before the unlock.
+	defer func() {
+		if tx.dirty {
+			db.version.Add(1)
+		}
+	}()
+	err := fn(tx)
+	return tx.changes, err
+}
+
+// touch marks the batch dirty. Every Tx write calls it before its first
+// change to database state.
+func (tx *Tx) touch() { tx.dirty = true }
+
+// record appends one successful write to the change set.
+func (tx *Tx) record(op Op, collection string, rec *Record) {
+	tx.changes = append(tx.changes, Change{Op: op, Collection: collection, Record: rec})
+}
+
+// collection returns the named collection, creating it when missing.
+func (tx *Tx) collection(name string) *Collection {
+	c, ok := tx.db.collections[name]
+	if !ok {
+		tx.touch()
+		c = &Collection{
+			name:    name,
+			records: make(map[int64]*Record),
+			spatial: geo.NewRTree[int64](),
+		}
+		tx.db.collections[name] = c
+	}
+	return c
 }
 
 // Insert stores a document in the named collection and returns its record.
-func (db *DB) Insert(collection string, doc *pxml.Node, certainty uncertain.CF, loc *geo.Point) (*Record, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.insertLocked(collection, doc, certainty, loc)
-}
-
-// Insert is Tx's form of DB.Insert.
 func (tx *Tx) Insert(collection string, doc *pxml.Node, certainty uncertain.CF, loc *geo.Point) (*Record, error) {
-	return tx.db.insertLocked(collection, doc, certainty, loc)
-}
-
-func (db *DB) insertLocked(collection string, doc *pxml.Node, certainty uncertain.CF, loc *geo.Point) (*Record, error) {
 	if collection == "" {
 		return nil, fmt.Errorf("xmldb: empty collection name")
 	}
@@ -226,7 +271,9 @@ func (db *DB) insertLocked(collection string, doc *pxml.Node, certainty uncertai
 			return nil, fmt.Errorf("xmldb: %w", err)
 		}
 	}
-	c := db.collection(collection)
+	db := tx.db
+	tx.touch()
+	c := tx.collection(collection)
 	rec := &Record{
 		ID:        db.nextID,
 		Doc:       doc,
@@ -238,24 +285,98 @@ func (db *DB) insertLocked(collection string, doc *pxml.Node, certainty uncertai
 		p := *loc
 		rec.Location = &p
 		if err := c.spatial.Insert(geo.BBoxOf(p), rec.ID); err != nil {
-			// collection() above may have created the (empty) collection:
-			// the store changed even though this insert failed, so cached
-			// views keyed to the old version must still be invalidated.
-			db.version.Add(1)
 			return nil, fmt.Errorf("xmldb: spatial index: %w", err)
 		}
 	}
 	c.records[rec.ID] = rec
 	c.order = append(c.order, rec.ID)
-	db.version.Add(1)
+	tx.record(OpInsert, collection, rec)
 	return rec, nil
 }
 
-// Version returns the database's mutation counter: a monotonic value
-// that moves on every successful insert, update, delete and restore —
-// including certainty decay and feedback applies, which are updates and
-// deletes like any other. Reading it is one atomic load; it never
-// blocks on the database lock.
+// Update replaces a record's document and certainty (and location when
+// newLoc is non-nil). The record must exist. The stored record is
+// replaced, not mutated, so previously returned records remain valid
+// read-only snapshots.
+func (tx *Tx) Update(collection string, id int64, doc *pxml.Node, certainty uncertain.CF, newLoc *geo.Point) error {
+	if doc == nil {
+		return fmt.Errorf("xmldb: nil document")
+	}
+	if err := doc.Validate(); err != nil {
+		return fmt.Errorf("xmldb: %w", err)
+	}
+	if err := certainty.Validate(); err != nil {
+		return fmt.Errorf("xmldb: %w", err)
+	}
+	if newLoc != nil {
+		if err := newLoc.Validate(); err != nil {
+			return fmt.Errorf("xmldb: %w", err)
+		}
+	}
+	db := tx.db
+	c, ok := db.collections[collection]
+	if !ok {
+		return fmt.Errorf("xmldb: collection %q not found", collection)
+	}
+	rec, ok := c.records[id]
+	if !ok {
+		return fmt.Errorf("xmldb: record %d not found in %q", id, collection)
+	}
+	next := &Record{
+		ID:        id,
+		Doc:       doc,
+		Certainty: certainty,
+		Location:  rec.Location,
+		Updated:   db.clock(),
+	}
+	tx.touch()
+	if newLoc != nil {
+		if rec.Location != nil {
+			c.spatial.Delete(geo.BBoxOf(*rec.Location), rec.ID)
+		}
+		p := *newLoc
+		next.Location = &p
+		if err := c.spatial.Insert(geo.BBoxOf(p), rec.ID); err != nil {
+			return fmt.Errorf("xmldb: spatial index: %w", err)
+		}
+		if rec.Location == nil || *rec.Location != p {
+			db.locDrift.Add(1)
+		}
+	}
+	c.records[id] = next
+	tx.record(OpUpdate, collection, next)
+	return nil
+}
+
+// Delete removes a record.
+func (tx *Tx) Delete(collection string, id int64) error {
+	c, ok := tx.db.collections[collection]
+	if !ok {
+		return fmt.Errorf("xmldb: collection %q not found", collection)
+	}
+	rec, ok := c.records[id]
+	if !ok {
+		return fmt.Errorf("xmldb: record %d not found in %q", id, collection)
+	}
+	tx.touch()
+	if rec.Location != nil {
+		c.spatial.Delete(geo.BBoxOf(*rec.Location), rec.ID)
+	}
+	delete(c.records, id)
+	for i, oid := range c.order {
+		if oid == id {
+			c.order = append(c.order[:i], c.order[i+1:]...)
+			break
+		}
+	}
+	tx.record(OpDelete, collection, rec)
+	return nil
+}
+
+// Version returns the database's commit counter: a monotonic value that
+// moves by one for every Batch that wrote anything — integration
+// batches, certainty decay, feedback applies and Restore alike. Reading
+// it is one atomic load; it never blocks on the database lock.
 func (db *DB) Version() int64 { return db.version.Load() }
 
 // LocationDrift returns the count of updates that gave a record a
@@ -281,106 +402,6 @@ func (db *DB) getLocked(collection string, id int64) (*Record, bool) {
 	}
 	r, ok := c.records[id]
 	return r, ok
-}
-
-// Update replaces a record's document and certainty (and location when
-// newLoc is non-nil). The record must exist. The stored record is
-// replaced, not mutated, so previously returned records remain valid
-// read-only snapshots.
-func (db *DB) Update(collection string, id int64, doc *pxml.Node, certainty uncertain.CF, newLoc *geo.Point) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.updateLocked(collection, id, doc, certainty, newLoc)
-}
-
-// Update is Tx's form of DB.Update.
-func (tx *Tx) Update(collection string, id int64, doc *pxml.Node, certainty uncertain.CF, newLoc *geo.Point) error {
-	return tx.db.updateLocked(collection, id, doc, certainty, newLoc)
-}
-
-func (db *DB) updateLocked(collection string, id int64, doc *pxml.Node, certainty uncertain.CF, newLoc *geo.Point) error {
-	if doc == nil {
-		return fmt.Errorf("xmldb: nil document")
-	}
-	if err := doc.Validate(); err != nil {
-		return fmt.Errorf("xmldb: %w", err)
-	}
-	if err := certainty.Validate(); err != nil {
-		return fmt.Errorf("xmldb: %w", err)
-	}
-	c, ok := db.collections[collection]
-	if !ok {
-		return fmt.Errorf("xmldb: collection %q not found", collection)
-	}
-	rec, ok := c.records[id]
-	if !ok {
-		return fmt.Errorf("xmldb: record %d not found in %q", id, collection)
-	}
-	next := &Record{
-		ID:        id,
-		Doc:       doc,
-		Certainty: certainty,
-		Location:  rec.Location,
-		Updated:   db.clock(),
-	}
-	if newLoc != nil {
-		if err := newLoc.Validate(); err != nil {
-			return fmt.Errorf("xmldb: %w", err)
-		}
-		if rec.Location != nil {
-			c.spatial.Delete(geo.BBoxOf(*rec.Location), rec.ID)
-		}
-		p := *newLoc
-		next.Location = &p
-		if err := c.spatial.Insert(geo.BBoxOf(p), rec.ID); err != nil {
-			// The old location was already deleted from the spatial
-			// index above; readers must not keep serving cached views
-			// of the pre-delete state.
-			db.version.Add(1)
-			return fmt.Errorf("xmldb: spatial index: %w", err)
-		}
-		if rec.Location == nil || *rec.Location != p {
-			db.locDrift.Add(1)
-		}
-	}
-	c.records[id] = next
-	db.version.Add(1)
-	return nil
-}
-
-// Delete removes a record.
-func (db *DB) Delete(collection string, id int64) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.deleteLocked(collection, id)
-}
-
-// Delete is Tx's form of DB.Delete.
-func (tx *Tx) Delete(collection string, id int64) error {
-	return tx.db.deleteLocked(collection, id)
-}
-
-func (db *DB) deleteLocked(collection string, id int64) error {
-	c, ok := db.collections[collection]
-	if !ok {
-		return fmt.Errorf("xmldb: collection %q not found", collection)
-	}
-	rec, ok := c.records[id]
-	if !ok {
-		return fmt.Errorf("xmldb: record %d not found in %q", id, collection)
-	}
-	if rec.Location != nil {
-		c.spatial.Delete(geo.BBoxOf(*rec.Location), rec.ID)
-	}
-	delete(c.records, id)
-	for i, oid := range c.order {
-		if oid == id {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-	db.version.Add(1)
-	return nil
 }
 
 // Len returns the number of records in a collection.

@@ -90,30 +90,47 @@ func (db *DB) collectionNamesLocked() []string {
 }
 
 // Restore replaces the database contents with the snapshot read from r.
-// On any error the database is left unchanged: the snapshot is fully
-// validated (document structure, certainty range, coordinates, duplicate
-// IDs) before the swap.
+// On any error the database is left unchanged: the snapshot is loaded
+// and fully validated (document structure, certainty range,
+// coordinates, duplicate IDs) into a private staging database first,
+// and only then swapped in by one Batch, which commits it as one new
+// version.
 func (db *DB) Restore(r io.Reader) error {
 	var env snapEnvelope
 	if err := xml.NewDecoder(r).Decode(&env); err != nil {
 		return fmt.Errorf("xmldb: restore: %w", err)
 	}
+	staged := New()
+	if _, err := staged.Batch(func(tx *Tx) error { return tx.load(env) }); err != nil {
+		return err
+	}
+	_, err := db.Batch(func(tx *Tx) error {
+		tx.adopt(staged)
+		return nil
+	})
+	return err
+}
 
-	staged := make(map[string]*Collection, len(env.Collections))
+// adopt swaps a staging database's contents in wholesale.
+func (tx *Tx) adopt(staged *DB) {
+	tx.touch()
+	tx.db.collections = staged.collections
+	tx.db.nextID = staged.nextID
+}
+
+// load fills an empty staging database from a decoded snapshot.
+func (tx *Tx) load(env snapEnvelope) error {
+	tx.touch()
 	maxID := int64(0)
 	seen := make(map[int64]bool)
 	for _, sc := range env.Collections {
 		if sc.Name == "" {
 			return fmt.Errorf("xmldb: restore: collection with empty name")
 		}
-		if _, dup := staged[sc.Name]; dup {
+		if _, dup := tx.db.collections[sc.Name]; dup {
 			return fmt.Errorf("xmldb: restore: duplicate collection %q", sc.Name)
 		}
-		c := &Collection{
-			name:    sc.Name,
-			records: make(map[int64]*Record, len(sc.Records)),
-			spatial: geo.NewRTree[int64](),
-		}
+		c := tx.collection(sc.Name)
 		for _, sr := range sc.Records {
 			if sr.ID <= 0 {
 				return fmt.Errorf("xmldb: restore: %s: invalid record id %d", sc.Name, sr.ID)
@@ -145,7 +162,6 @@ func (db *DB) Restore(r io.Reader) error {
 				}
 				rec.Location = &p
 				if err := c.spatial.Insert(geo.BBoxOf(p), rec.ID); err != nil {
-					//lint:ignore versionbump mutations land in a staged collection that is only installed by the swap below, which bumps
 					return fmt.Errorf("xmldb: restore: %s/%d: spatial index: %w", sc.Name, sr.ID, err)
 				}
 			}
@@ -155,20 +171,10 @@ func (db *DB) Restore(r io.Reader) error {
 				maxID = rec.ID
 			}
 		}
-		staged[sc.Name] = c
 	}
-
-	nextID := env.NextID
-	if nextID <= maxID {
-		nextID = maxID + 1
+	tx.db.nextID = env.NextID
+	if tx.db.nextID <= maxID {
+		tx.db.nextID = maxID + 1
 	}
-
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.collections = staged
-	db.nextID = nextID
-	// A restore replaces everything the database holds; any cached view
-	// keyed to an older version must be invalidated.
-	db.version.Add(1)
 	return nil
 }
